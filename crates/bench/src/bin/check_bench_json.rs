@@ -20,6 +20,7 @@
 //!
 //! Usage: `check_bench_json BENCH_algorithms.json [more.json ...]`
 
+use kgreach_serve::Json;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -47,29 +48,29 @@ fn main() -> ExitCode {
 
 fn check_file(path: &str) -> Result<usize, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("unreadable: {e}"))?;
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-    let value = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    let Json::Array(entries) = value else {
+    check_text(path, &text)
+}
+
+/// Checks one artifact's contents; `path` decides the `*.before.json`
+/// exemption.
+fn check_text(path: &str, text: &str) -> Result<usize, String> {
+    let Json::Arr(entries) = Json::parse(text).map_err(|e| e.to_string())? else {
         return Err("top-level value is not an array".into());
     };
     if entries.is_empty() {
         return Err("result array is empty".into());
     }
     for (i, entry) in entries.iter().enumerate() {
-        let Json::Object(fields) = entry else {
+        let Json::Obj(fields) = entry else {
             return Err(format!("entry {i} is not an object"));
         };
         match fields.iter().find(|(k, _)| k == "name") {
-            Some((_, Json::String(s))) if !s.is_empty() => {}
+            Some((_, Json::Str(s))) if !s.is_empty() => {}
             Some(_) => return Err(format!("entry {i}: \"name\" is not a non-empty string")),
             None => return Err(format!("entry {i}: missing \"name\"")),
         }
         match fields.iter().find(|(k, _)| k == "median_ns") {
-            Some((_, Json::Number(n))) if n.is_finite() && *n > 0.0 => {}
+            Some((_, Json::Num(n))) if n.is_finite() && *n > 0.0 => {}
             Some(_) => return Err(format!("entry {i}: \"median_ns\" is not a positive number")),
             None => return Err(format!("entry {i}: missing \"median_ns\"")),
         }
@@ -100,14 +101,14 @@ fn check_workload_spread(entries: &[Json]) -> Result<(), String> {
     // name so the error message points at the exact offenders.
     let mut groups: Vec<(String, Row, Row)> = Vec::new();
     for entry in entries {
-        let Json::Object(fields) = entry else { continue };
+        let Json::Obj(fields) = entry else { continue };
         let (Some(name), Some(median)) = (
             fields.iter().find_map(|(k, v)| match v {
-                Json::String(s) if k == "name" => Some(s.clone()),
+                Json::Str(s) if k == "name" => Some(s.clone()),
                 _ => None,
             }),
             fields.iter().find_map(|(k, v)| match v {
-                Json::Number(n) if k == "median_ns" => Some(*n),
+                Json::Num(n) if k == "median_ns" => Some(*n),
                 _ => None,
             }),
         ) else {
@@ -148,254 +149,61 @@ fn check_workload_spread(entries: &[Json]) -> Result<(), String> {
     Ok(())
 }
 
-/// The subset of JSON values the checker distinguishes.
-enum Json {
-    Null,
-    Bool(#[allow(dead_code)] bool),
-    Number(f64),
-    String(String),
-    Array(Vec<Json>),
-    Object(Vec<(String, Json)>),
-}
+#[cfg(test)]
+mod tests {
+    use super::check_text;
 
-/// A minimal recursive-descent JSON parser — no external crates exist in
-/// this offline workspace, and the checker must not trust the emitter it
-/// checks, so it parses real JSON rather than pattern-matching substrings.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_whitespace()) {
-            self.pos += 1;
+    fn rejects(text: &str, needle: &str) {
+        match check_text("BENCH_x.json", text) {
+            Err(e) => assert!(e.contains(needle), "{text:?}: error {e:?} lacks {needle:?}"),
+            Ok(n) => panic!("{text:?} passed the gate with {n} rows"),
         }
     }
 
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied().ok_or_else(|| "unexpected end of input".into())
+    #[test]
+    fn accepts_well_formed_rows() {
+        let text = r#"[{"name": "lscr/S1/UIS/10", "median_ns": 1500.5},
+                      {"name": "lscr/S1/INS/10", "median_ns": 2e3}]"#;
+        assert_eq!(check_text("BENCH_x.json", text), Ok(2));
     }
 
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        let found = self.peek()?;
-        if found != byte {
-            return Err(format!(
-                "expected '{}' at byte {}, found '{}'",
-                byte as char, self.pos, found as char
-            ));
+    #[test]
+    fn rejects_malformed_documents() {
+        rejects(r#"[{"name": "a", "median_ns": 1}] x"#, "trailing");
+        rejects(r#"{"name": "a", "median_ns": 1}"#, "not an array");
+        rejects("[]", "empty");
+        rejects("[1]", "not an object");
+    }
+
+    #[test]
+    fn rejects_bad_names() {
+        rejects(r#"[{"median_ns": 1}]"#, "missing \"name\"");
+        rejects(r#"[{"name": "", "median_ns": 1}]"#, "non-empty string");
+        rejects(r#"[{"name": 7, "median_ns": 1}]"#, "non-empty string");
+    }
+
+    #[test]
+    fn rejects_bad_medians() {
+        rejects(r#"[{"name": "a"}]"#, "missing \"median_ns\"");
+        for median in ["0", "-3", "\"12\"", "null", "1e999"] {
+            rejects(&format!(r#"[{{"name": "a", "median_ns": {median}}}]"#), "positive number");
         }
-        self.pos += 1;
-        Ok(())
-    }
-
-    fn parse_value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            b'[' => self.parse_array(),
-            b'{' => self.parse_object(),
-            b'"' => Ok(Json::String(self.parse_string()?)),
-            b't' => self.parse_literal("true", Json::Bool(true)),
-            b'f' => self.parse_literal("false", Json::Bool(false)),
-            b'n' => self.parse_literal("null", Json::Null),
-            _ => self.parse_number(),
-        }
-    }
-
-    fn parse_literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(format!("malformed literal at byte {}", self.pos))
+        for number in ["+1", "1.", ".5", "01", "inf", "NaN"] {
+            rejects(&format!(r#"[{{"name": "a", "median_ns": {number}}}]"#), "invalid JSON");
         }
     }
 
-    fn parse_array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                b => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {}, found '{}'",
-                        self.pos, b as char
-                    ))
-                }
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Json::Object(fields));
-        }
-        loop {
-            self.peek()?;
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            fields.push((key, self.parse_value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Json::Object(fields));
-                }
-                b => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, found '{}'",
-                        self.pos, b as char
-                    ))
-                }
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = *self.bytes.get(self.pos).ok_or_else(|| "unterminated string".to_string())?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "non-UTF-8 \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            self.pos += 4;
-                            // Surrogate pairs are irrelevant to benchmark
-                            // names; reject rather than mis-decode.
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| "surrogate \\u escape".to_string())?,
-                            );
-                        }
-                        _ => return Err(format!("unknown escape '\\{}'", esc as char)),
-                    }
-                }
-                _ => {
-                    // Re-walk UTF-8 from the raw bytes: multi-byte
-                    // sequences arrive here one leading byte at a time.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b).ok_or_else(|| "invalid UTF-8".to_string())?;
-                    let chunk = self
-                        .bytes
-                        .get(start..start + len)
-                        .ok_or_else(|| "truncated UTF-8".to_string())?;
-                    let s = std::str::from_utf8(chunk).map_err(|_| "invalid UTF-8".to_string())?;
-                    out.push_str(s);
-                    self.pos = start + len;
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("ASCII digits are valid UTF-8");
-        // f64::from_str is laxer than JSON ("+1", "1.", ".5", "inf"): pin
-        // the token to the JSON number grammar before trusting it.
-        if !is_json_number(text) {
-            return Err(format!("non-JSON number '{text}' at byte {start}"));
-        }
-        text.parse::<f64>()
-            .map(Json::Number)
-            .map_err(|_| format!("malformed number '{text}' at byte {start}"))
-    }
-}
-
-/// RFC 8259 number grammar: `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
-fn is_json_number(text: &str) -> bool {
-    let b = text.as_bytes();
-    let mut i = 0;
-    if b.get(i) == Some(&b'-') {
-        i += 1;
-    }
-    // Integer part: one zero, or a nonzero digit followed by digits.
-    match b.get(i) {
-        Some(b'0') => i += 1,
-        Some(d) if d.is_ascii_digit() => {
-            while b.get(i).is_some_and(u8::is_ascii_digit) {
-                i += 1;
-            }
-        }
-        _ => return false,
-    }
-    if b.get(i) == Some(&b'.') {
-        i += 1;
-        let frac_start = i;
-        while b.get(i).is_some_and(u8::is_ascii_digit) {
-            i += 1;
-        }
-        if i == frac_start {
-            return false;
-        }
-    }
-    if matches!(b.get(i), Some(b'e' | b'E')) {
-        i += 1;
-        if matches!(b.get(i), Some(b'+' | b'-')) {
-            i += 1;
-        }
-        let exp_start = i;
-        while b.get(i).is_some_and(u8::is_ascii_digit) {
-            i += 1;
-        }
-        if i == exp_start {
-            return false;
-        }
-    }
-    i == b.len()
-}
-
-fn utf8_len(lead: u8) -> Option<usize> {
-    match lead {
-        0x00..=0x7f => Some(1),
-        0xc0..=0xdf => Some(2),
-        0xe0..=0xef => Some(3),
-        0xf0..=0xf7 => Some(4),
-        _ => None,
+    #[test]
+    fn enforces_the_workload_spread_except_on_before_snapshots() {
+        let text = r#"[{"name": "lscr/S3/UIS/10", "median_ns": 10},
+                      {"name": "lscr/S3/INS/10", "median_ns": 1001}]"#;
+        rejects(text, "allowed spread is 100x");
+        assert_eq!(check_text("BENCH_x.before.json", text), Ok(2));
+        // Exactly 100x is allowed; two-segment names carry no algorithm.
+        let edge = r#"[{"name": "lscr/S3/UIS/10", "median_ns": 10},
+                      {"name": "lscr/S3/INS/10", "median_ns": 1000},
+                      {"name": "fsync/always", "median_ns": 1},
+                      {"name": "fsync/off", "median_ns": 100000}]"#;
+        assert_eq!(check_text("BENCH_x.json", edge), Ok(4));
     }
 }

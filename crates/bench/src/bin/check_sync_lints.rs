@@ -24,7 +24,8 @@
 //!   happens-before edge is needed and gives the reviewer something to
 //!   falsify.
 //! * **R4 — no `Instant::now()` in search kernels** (`uis.rs`,
-//!   `uis_star.rs`, `ins.rs`, `oracle.rs`). Kernel time reads go through
+//!   `uis_star.rs`, `ins.rs`, `oracle.rs`, and `bidi.rs`, the search
+//!   skeleton UIS\* and INS share). Kernel time reads go through
 //!   `SearchClock` so deadline policy lives in one place and the hot
 //!   loops stay syscall-free; a stray clock read is a perf bug waiting
 //!   to happen.
@@ -49,6 +50,7 @@ const KERNEL_FILES: &[&str] = &[
     "crates/core/src/uis_star.rs",
     "crates/core/src/ins.rs",
     "crates/core/src/oracle.rs",
+    "crates/core/src/bidi.rs",
 ];
 
 /// `std::sync` paths that must be reached through `kgreach-sync` (R1).
@@ -301,6 +303,12 @@ mod tests {
     #[test]
     fn instant_now_in_kernel_is_r4() {
         let offenses = lint_source("crates/core/src/uis.rs", "let t = Instant::now();\n");
+        assert!(offenses.iter().any(|o| o.contains("[R4]")), "{offenses:?}");
+    }
+
+    #[test]
+    fn instant_now_in_shared_search_skeleton_is_r4() {
+        let offenses = lint_source("crates/core/src/bidi.rs", "let t = Instant::now();\n");
         assert!(offenses.iter().any(|o| o.contains("[R4]")), "{offenses:?}");
     }
 

@@ -15,12 +15,13 @@
 //! an [`UpdateBatch`] as a delta overlay (see
 //! [`kgreach_graph::delta`]), swaps the new graph in atomically, and
 //! maintains the index incrementally. Every content-changing batch bumps
-//! the graph **epoch**; compiled constraint plans, their embedded `SCck`
-//! memo caches, and [`PreparedQuery`] `V(S,G)` memos all record the
-//! epoch they bind to and rebind transparently on mismatch. Queries pin
-//! one `(graph, index)` snapshot per execution, so an update never
-//! changes the graph under a running search — in-flight queries finish
-//! against the pre-update state, subsequent ones see the new one.
+//! the graph **epoch**; compiled constraint plans, with their embedded
+//! `SCck` and `V(S,G)` memos, record the epoch they bind to, and queries
+//! holding a stale plan (including a [`PreparedQuery`]) rebind
+//! transparently on mismatch. Queries pin one `(graph, index)` snapshot
+//! per execution, so an update never changes the graph under a running
+//! search — in-flight queries finish against the pre-update state,
+//! subsequent ones see the new one.
 //!
 //! ```
 //! use kgreach::{Algorithm, LscrEngine, LscrQuery, SubstructureConstraint};
@@ -47,13 +48,11 @@ use crate::query::{
 };
 use crate::session::{SearchScratch, Session};
 use kgreach_graph::fxhash::FxHashMap;
-use kgreach_graph::snapshot::{
-    self, ArtifactKind, PayloadBuf, PayloadCursor, SectionReader, SectionWriter,
-};
+use kgreach_graph::snapshot::{self, ArtifactKind, PayloadBuf, PayloadCursor, SectionWriter};
 use kgreach_graph::{Graph, UpdateBatch, UpdateSummary};
 use kgreach_sync::{Arc, Mutex, RwLock};
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
 /// The LSCR algorithms implemented by this crate.
@@ -328,7 +327,7 @@ impl LscrEngine {
     /// Applies an [`UpdateBatch`] to the served graph: the overlay-merged
     /// graph is swapped in atomically, the content epoch advances, every
     /// content-derived cache (constraint-plan cache with its embedded
-    /// `SCck` memos, [`PreparedQuery`] plans and `V(S,G)` memos) is
+    /// `SCck` and `V(S,G)` memos, plans held by [`PreparedQuery`]s) is
     /// invalidated, and the local index — when one exists — is repaired
     /// partition-locally or rebuilt past the staleness budget (see
     /// [`LocalIndex::patched`]).
@@ -479,45 +478,63 @@ impl LscrEngine {
         let graph = self.graph();
         graph.check_vertex(query.source)?;
         graph.check_vertex(query.target)?;
-        let key = query.constraint.sparql_text();
-        if let Some(cached) = self.plan_cache.read().expect("plan cache lock").get(key) {
-            // Entries compiled before a graph update are purged by
-            // `apply_update`, but a hit can still race the purge — guard
-            // on the epoch the plan was bound to.
-            if cached.graph_epoch() == graph.epoch() {
-                return Ok(query.with_constraint(Arc::clone(cached)));
-            }
-        }
-        let compiled = Arc::new(query.constraint.compile(&graph)?);
-        let mut cache = self.plan_cache.write().expect("plan cache lock");
-        let shared = match cache.get(key) {
-            // A racing compiler won; keep its plan (same-epoch only).
-            Some(winner) if winner.graph_epoch() == compiled.graph_epoch() => Arc::clone(winner),
-            Some(_) => {
-                cache.insert(key.to_owned(), Arc::clone(&compiled));
-                compiled
-            }
-            None if cache.len() < PLAN_CACHE_CAP => {
-                cache.insert(key.to_owned(), Arc::clone(&compiled));
-                compiled
-            }
-            None => compiled, // cache full: serve uncached
-        };
-        drop(cache);
-        Ok(query.with_constraint(shared))
+        let plan = self.cached_plan(&graph, query.constraint.sparql_text(), || {
+            Ok(query.constraint.compile(&graph)?)
+        })?;
+        Ok(query.with_constraint(plan))
     }
 
-    /// Recompiles a compiled query whose plan is bound to an older graph
-    /// epoch, using the canonical SPARQL text the plan retains. Sessions
-    /// call this when a caller-held [`CompiledLscrQuery`] outlives an
+    /// Rebinds a compiled query whose plan is bound to an older graph
+    /// epoch. The plan comes from the plan cache under the canonical
+    /// SPARQL text the stale plan retains; only a miss parses that text
+    /// again. Sessions call this when a caller-held
+    /// [`CompiledLscrQuery`] (or a [`PreparedQuery`]) outlives an
     /// [`apply_update`](Self::apply_update).
     pub(crate) fn recompile(
         &self,
         query: &CompiledLscrQuery,
     ) -> Result<CompiledLscrQuery, QueryError> {
-        let constraint = SubstructureConstraint::parse(query.constraint.sparql_text())?;
-        let q = LscrQuery::new(query.source, query.target, query.label_constraint, constraint);
-        self.compile(&q)
+        let graph = self.graph();
+        graph.check_vertex(query.source)?;
+        graph.check_vertex(query.target)?;
+        let text = query.constraint.sparql_text();
+        let constraint = self.cached_plan(&graph, text, || {
+            Ok(SubstructureConstraint::parse(text)?.compile(&graph)?)
+        })?;
+        Ok(CompiledLscrQuery { constraint, ..query.clone() })
+    }
+
+    /// The plan for the canonical SPARQL `text` at `graph`'s epoch: a
+    /// plan-cache hit, or `compile` run and cached.
+    fn cached_plan(
+        &self,
+        graph: &Graph,
+        text: &str,
+        compile: impl FnOnce() -> Result<CompiledConstraint, QueryError>,
+    ) -> Result<Arc<CompiledConstraint>, QueryError> {
+        if let Some(cached) = self.plan_cache.read().expect("plan cache lock").get(text) {
+            // Entries compiled before a graph update are purged by
+            // `apply_update`, but a hit can still race the purge — guard
+            // on the epoch the plan was bound to.
+            if cached.graph_epoch() == graph.epoch() {
+                return Ok(Arc::clone(cached));
+            }
+        }
+        let compiled = Arc::new(compile()?);
+        let mut cache = self.plan_cache.write().expect("plan cache lock");
+        Ok(match cache.get(text) {
+            // A racing compiler won; keep its plan (same-epoch only).
+            Some(winner) if winner.graph_epoch() == compiled.graph_epoch() => Arc::clone(winner),
+            Some(_) => {
+                cache.insert(text.to_owned(), Arc::clone(&compiled));
+                compiled
+            }
+            None if cache.len() < PLAN_CACHE_CAP => {
+                cache.insert(text.to_owned(), Arc::clone(&compiled));
+                compiled
+            }
+            None => compiled, // cache full: serve uncached
+        })
     }
 
     /// Number of distinct constraint plans currently cached.
@@ -655,21 +672,15 @@ impl LscrEngine {
     /// [`set_local_index`](Self::set_local_index) fingerprint check
     /// ([`QueryError::IndexGraphMismatch`]). The restored engine uses the
     /// default [`LocalIndexConfig`] for any future lazy build.
-    pub fn from_snapshot<R: Read>(reader: R) -> Result<LscrEngine, QueryError> {
-        let mut r = SectionReader::new(BufReader::new(reader)).map_err(QueryError::from)?;
-        r.expect_kind(ArtifactKind::Engine)?;
-        let graph = snapshot::read_graph_sections(&mut r)?;
-        let has_index =
-            Self::decode_index_flag(&r.section(TAG_ENGINE_HAS_INDEX, "engine-index-flag")?)?;
-        let index = if has_index { Some(LocalIndex::read_sections(&mut r)?) } else { None };
-        r.end().map_err(QueryError::from)?;
-        Self::assemble_restored(graph, index)
+    pub fn from_snapshot<R: Read>(mut reader: R) -> Result<LscrEngine, QueryError> {
+        let mut bytes = Vec::new();
+        reader.read_to_end(&mut bytes).map_err(kgreach_graph::GraphError::from)?;
+        Self::from_snapshot_bytes(&bytes)
     }
 
     /// [`from_snapshot`](Self::from_snapshot) over an in-memory buffer,
     /// borrowing section payloads instead of copying them — the bulk
-    /// cold-start path for multi-million-edge engine snapshots. Same
-    /// result and same typed errors as the streaming reader.
+    /// cold-start path for multi-million-edge engine snapshots.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<LscrEngine, QueryError> {
         let mut r = snapshot::SliceSectionReader::new(bytes).map_err(QueryError::from)?;
         r.expect_kind(ArtifactKind::Engine)?;
@@ -1337,6 +1348,7 @@ mod tests {
     #[test]
     fn prepared_queries_track_updates() {
         let engine = LscrEngine::new(figure3());
+        engine.local_index();
         let q = {
             let g = engine.graph();
             LscrQuery::new(
@@ -1347,27 +1359,53 @@ mod tests {
             )
         };
         let prepared = engine.prepare(&q).unwrap();
+        let algorithms = [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Auto];
+        // A prepared run is the compiled run: same answer, same counters
+        // (after a warm-up run, as both share the plan's SCck memo).
+        let agree = |phase: &str| {
+            let compiled = engine.compile(&q).unwrap();
+            for alg in algorithms {
+                let opts = QueryOptions::default();
+                engine.answer_prepared(&prepared, alg, &opts);
+                let p = engine.answer_prepared(&prepared, alg, &opts);
+                let c = engine.session().answer_compiled(&compiled, alg, &opts);
+                assert_eq!(p.answer, c.answer, "{phase} {alg}: answers differ");
+                assert_eq!(p.stats, c.stats, "{phase} {alg}: stats differ");
+            }
+        };
+        agree("before update");
         let out = engine.answer_prepared(&prepared, Algorithm::UisStar, &QueryOptions::default());
         assert!(out.answer);
-        assert_eq!(prepared.vsg_len_if_materialized(), Some(2));
+        assert_eq!(out.stats.vsg_size, Some(2));
 
         // Delete one of the two satisfying vertices' qualifying edges:
-        // V(S0,G) shrinks, the memo re-materializes, answers update.
+        // V(S0,G) shrinks, the rebound plan re-materializes, answers
+        // update.
         let mut batch = kgreach_graph::UpdateBatch::new();
         batch.delete("v1", "friendOf", "v3");
         engine.apply_update(&batch).unwrap();
         let out = engine.answer_prepared(&prepared, Algorithm::UisStar, &QueryOptions::default());
         assert!(out.answer, "v2 still satisfies S0 and routes v0 to v4");
+        assert_eq!(out.stats.vsg_size, Some(1));
         assert_eq!(
-            prepared.vsg_len_if_materialized(),
+            engine.compile(&q).unwrap().constraint.vsg_len_if_materialized(),
             Some(1),
-            "stale memo re-materialized against the updated graph"
+            "the stale handle rebound to the cached plan and filled its memo"
         );
-        assert_eq!(out.stats.vsg_size, Some(1));
-        // INS re-executes against the same refreshed memo.
-        let out = engine.answer_prepared(&prepared, Algorithm::Ins, &QueryOptions::default());
-        assert!(out.answer);
-        assert_eq!(out.stats.vsg_size, Some(1));
+        agree("after update");
+    }
+
+    #[test]
+    fn prepared_runs_share_the_plan_vsg_memo() {
+        // A prepared query and an ad-hoc query with the same SPARQL text
+        // evaluate V(S,G) once between them: the prepared run fills the
+        // memo of the plan the engine's plan cache hands out.
+        let engine = LscrEngine::new(figure3());
+        let g = engine.graph();
+        let q = all_labels_query(&g, "v0", "v4");
+        let prepared = engine.prepare(&q).unwrap();
+        engine.answer_prepared(&prepared, Algorithm::UisStar, &QueryOptions::default());
+        assert_eq!(engine.compile(&q).unwrap().constraint.vsg_len_if_materialized(), Some(2));
     }
 
     #[test]

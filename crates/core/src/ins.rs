@@ -19,19 +19,18 @@
 //!    * `Push(EIT[w])` enqueues the partition's exit frontier under `L`
 //!      (line 25) — landmarks themselves are never enqueued.
 //!
-//! Like UIS\*, selective label constraints over large candidate sets
-//! ([`QueryOptions::bidi_min_candidates`](crate::QueryOptions)) route
-//! through the meet-in-the-middle phase described in that module's
-//! docs, with two INS-specific twists: the forward frontier runs the full landmark
-//! machinery (`Check`/`Cut`/`Push`) over the global priority queue, and a
-//! `Check(II[w], t)` hit *feeds the backward map* — the landmark entry
-//! proves `w ⇝_L t`, so `w` joins `R_t` as if the backward frontier had
-//! discovered it. Once the backward frontier completes, the candidate
-//! loop replaces every `B = T` probe with an O(1) membership test, and
-//! both ordinary pushes and partition-exit pushes are pruned to `R_t`.
+//! The mask prechecks, the candidate loop and the meet-in-the-middle
+//! phase are the UIS\* skeleton in `bidi.rs`; this module supplies the
+//! queue frontier, the candidate heap, `LCS` and the landmark machinery. Under the bidirectional phase, the forward frontier runs
+//! the full landmark machinery (`Check`/`Cut`/`Push`) over the global
+//! priority queue, and a `Check(II[w], t)` hit *feeds the backward map*
+//! — the landmark entry proves `w ⇝_L t`, so `w` joins `R_t` as if the
+//! backward frontier had discovered it. Once the backward frontier
+//! completes, both ordinary pushes and partition-exit pushes are pruned
+//! to `R_t`.
 //!
 //! ```
-//! use kgreach::{LocalIndex, LscrQuery};
+//! use kgreach::{LocalIndex, LscrQuery, QueryOptions, SearchScratch};
 //! use kgreach::fixtures::{figure3, s0};
 //!
 //! let g = figure3();
@@ -42,29 +41,25 @@
 //!     g.label_set(&["likes", "follows"]),
 //!     s0(),
 //! );
-//! assert!(kgreach::ins::answer(&g, &q.compile(&g).unwrap(), &index).answer);
+//! let mut scratch = SearchScratch::new(g.num_vertices());
+//! let cq = q.compile(&g).unwrap();
+//! let opts = QueryOptions::default();
+//! assert!(kgreach::ins::answer_with(&g, &cq, &index, &mut scratch, &opts).answer);
 //! ```
 
-use crate::close::{CloseMap, CloseState};
+use crate::bidi::{self, Kernel, Search};
+use crate::close::CloseState;
 use crate::local_index::LocalIndex;
 use crate::priority::{CandidateHeap, GlobalQueue, PriorityContext};
-use crate::query::{
-    CompiledLscrQuery, QueryOptions, QueryOutcome, RunLimits, SearchClock, SearchStats,
-};
+use crate::query::{CompiledLscrQuery, QueryOptions, QueryOutcome, SearchClock, SearchStats};
 use crate::session::SearchScratch;
-use kgreach_graph::{Graph, LabelSet, VertexId};
+use kgreach_graph::{Graph, VertexId};
 
 /// Answers `q` with Algorithm 4 over a prebuilt [`LocalIndex`], with
-/// freshly allocated scratch and default options.
-pub fn answer(g: &Graph, q: &CompiledLscrQuery, index: &LocalIndex) -> QueryOutcome {
-    let mut scratch = SearchScratch::new(g.num_vertices());
-    answer_with(g, q, index, &mut scratch, &QueryOptions::default())
-}
-
-/// Answers `q` with session-owned scratch (reset here). The reported time
-/// includes the `V(S,G)` materialization, as for UIS\*; the set comes
-/// from the compiled constraint's shared memo, so repeated queries over
-/// one compiled plan materialize it once.
+/// session-owned scratch (reset here). The reported time includes the
+/// `V(S,G)` materialization, as for UIS\*; the set comes from the
+/// compiled constraint's shared memo, so repeated queries over one
+/// compiled plan materialize it once.
 pub fn answer_with(
     g: &Graph,
     q: &CompiledLscrQuery,
@@ -75,245 +70,42 @@ pub fn answer_with(
     let clock = SearchClock::start_now();
     let limits = clock.limits(opts);
     let vsg = q.constraint.satisfying_vertices_cached(g);
-    let mut outcome = run(g, q, index, scratch, &vsg, limits, clock);
-    outcome.elapsed = clock.elapsed();
-    outcome
-}
-
-/// Answers `q` over an already-materialized `V(S,G)` — the entry point
-/// for prepared queries. INS's candidate heap imposes its own processing
-/// order, so the slice order is irrelevant here; the step budget and
-/// timeout in `opts` still apply.
-pub fn answer_with_vsg(
-    g: &Graph,
-    q: &CompiledLscrQuery,
-    index: &LocalIndex,
-    scratch: &mut SearchScratch,
-    vsg: &[VertexId],
-    opts: &QueryOptions,
-) -> QueryOutcome {
-    let clock = SearchClock::start_now();
-    run(g, q, index, scratch, vsg, clock.limits(opts), clock)
-}
-
-fn run(
-    g: &Graph,
-    q: &CompiledLscrQuery,
-    index: &LocalIndex,
-    scratch: &mut SearchScratch,
-    vsg: &[VertexId],
-    limits: RunLimits,
-    clock: SearchClock,
-) -> QueryOutcome {
-    let (close, queue, back, back_stack, cand) = scratch.bidirectional_queue_parts();
-    close.reset();
-    queue.reset();
-
-    let s = q.source;
-    let t = q.target;
-
-    let mut ins = Ins {
-        g,
-        index,
-        labels: q.label_constraint,
-        // One strategy decision for every LCS invocation of this query.
-        selective: g.expansion_selective(q.label_constraint),
-        close,
-        queue,
-        back,
-        back_stack,
-        cand,
-        prune_to_back: false,
-        stats: SearchStats {
-            vsg_size: Some(vsg.len()),
-            algorithm: Some(crate::Algorithm::Ins),
-            ..Default::default()
-        },
-        limits,
-        interrupted: false,
+    let stats = SearchStats {
+        vsg_size: Some(vsg.len()),
+        algorithm: Some(crate::Algorithm::Ins),
+        ..Default::default()
     };
-
+    let (mut st, _, queue) = Search::split(g, q, scratch, stats, limits);
     // Lines 1-3: Q seeded with s; close[s] ← F. (H is built lazily: the
     // mask prechecks and the bidirectional phase can decide the query
     // without ever ordering the candidates.)
-    ins.close.set(s, CloseState::F);
-    let ctx = PriorityContext { close: ins.close, index, source: s, target: t };
-    ins.queue.push(s, &ctx);
-    ins.stats.pushes += 1;
-
-    if vsg.is_empty() {
-        return ins.finish(false, clock);
-    }
-
-    // O(1) mask prechecks — see the UIS* module docs: with no out-label
-    // of s (or no in-label of t) usable under L, only the zero-edge
-    // s = t witness could remain.
-    if s != t
-        && (g.out_label_mask(s).intersection(q.label_constraint).is_empty()
-            || g.in_label_mask(t).intersection(q.label_constraint).is_empty())
-    {
-        ins.stats.negative_terminations += 1;
-        return ins.finish(false, clock);
-    }
-
-    // Selective L over a large candidate set: meet-in-the-middle phase,
-    // with the landmark Check shortcut feeding the backward map (see
-    // `Ins::bidirectional`). Small candidate sets answer faster through
-    // the classic informed probes, where the index shortcuts both
-    // directions instead of enumerating `R_t` edge by edge.
-    if ins.selective && vsg.len() >= ins.limits.bidi_min_candidates {
-        let answer = ins.bidirectional(s, t, vsg);
-        return ins.finish(answer, clock);
-    }
-
-    let ctx = PriorityContext { close: ins.close, index, source: s, target: t };
-    let mut heap = CandidateHeap::new(vsg, &ctx);
-
-    // Lines 4-14: identical control flow to UIS*.
-    let mut answer = false;
-    loop {
-        if ins.interrupted || ins.limits.exceeded(ins.stats.edges_scanned) {
-            ins.interrupted = true;
-            break;
-        }
-        let ctx = PriorityContext { close: ins.close, index, source: s, target: t };
-        let Some(v) = heap.pop(&ctx) else { break };
-        match ins.close.get(v) {
-            CloseState::N => {
-                if v == s || v == t {
-                    answer = ins.lcs(s, t, false);
-                    return ins.finish(answer, clock);
-                } else if ins.lcs(s, v, false) && ins.lcs(v, t, true) {
-                    answer = true;
-                    break;
-                }
-            }
-            CloseState::F => {
-                if ins.lcs(v, t, true) {
-                    answer = true;
-                    break;
-                }
-            }
-            CloseState::T => {}
-        }
-    }
-
-    ins.finish(answer, clock)
+    queue.reset();
+    st.close.set(q.source, CloseState::F);
+    let ctx = PriorityContext { close: st.close, index, source: q.source, target: q.target };
+    queue.push(q.source, &ctx);
+    st.stats.pushes += 1;
+    bidi::run(Ins { st, queue, index }, &vsg, clock)
 }
 
 struct Ins<'a> {
-    g: &'a Graph,
-    index: &'a LocalIndex,
-    labels: LabelSet,
-    /// Whether mask-guided expansion pays for this query's `L`.
-    selective: bool,
-    close: &'a mut CloseMap,
+    st: Search<'a>,
     queue: &'a mut GlobalQueue,
-    /// Backward `close`: marks `R_t`, the vertices proven to reach `t`
-    /// under `L` — by the reverse-expansion frontier, or by a landmark
-    /// `Check` firing during the bidirectional phase.
-    back: &'a mut CloseMap,
-    back_stack: &'a mut Vec<VertexId>,
-    /// `V(S,G)` membership (`N` = not a candidate).
-    cand: &'a mut CloseMap,
-    /// When set (backward frontier completed), forward expansion prunes
-    /// every push — ordinary, landmark or partition exit — outside `R_t`.
-    prune_to_back: bool,
-    stats: SearchStats,
-    limits: RunLimits,
-    interrupted: bool,
+    index: &'a LocalIndex,
 }
 
-impl Ins<'_> {
-    /// The meet-in-the-middle phase plus its cleanup loops (the UIS\*
-    /// design — see that module's docs — with two INS twists): forward
-    /// steps run the full landmark machinery over the global queue, and a
-    /// `Check(II[w], t)` hit during the phase feeds `w` into the backward
-    /// map as a proven `R_t` member. Always returns the final answer.
-    fn bidirectional(&mut self, s: VertexId, t: VertexId, vsg: &[VertexId]) -> bool {
-        self.back.reset();
-        self.back_stack.clear();
-        self.cand.reset();
-        for &v in vsg {
-            self.cand.set(v, CloseState::F);
-        }
-        let mut fwd_cand_seen = usize::from(!self.cand.is_n(s));
-        let mut back_cand_seen = 0usize;
+impl<'a> Kernel<'a> for Ins<'a> {
+    type Candidates<'v> = CandidateHeap;
 
-        // Seed the backward frontier at t.
-        self.back.set(t, CloseState::F);
-        self.back_stack.push(t);
-        self.stats.pushes += 1;
-        if !self.cand.is_n(t) {
-            back_cand_seen += 1;
-            if !self.close.is_n(t) {
-                return true; // s = t ∈ V(S,G): zero-edge witness
-            }
-        }
-
-        while !self.queue.is_empty() && !self.back_stack.is_empty() {
-            if self.limits.exceeded(self.stats.edges_scanned) {
-                self.interrupted = true;
-                return false;
-            }
-            if self.back_stack.len() <= self.queue.raw_len() {
-                if let Some(ans) = self.bidi_backward_step(&mut back_cand_seen) {
-                    return ans;
-                }
-            } else if let Some(ans) =
-                self.bidi_forward_step(s, t, &mut fwd_cand_seen, &mut back_cand_seen)
-            {
-                return ans;
-            }
-        }
-
-        if self.back_stack.is_empty() {
-            // R_t fully enumerated (Check-derived seeds only add known
-            // R_t members, whose in-closures stay inside R_t).
-            if back_cand_seen == 0 {
-                self.stats.negative_terminations += 1;
-                return false;
-            }
-            self.prune_to_back = true;
-            self.cleanup_back_complete(s, t, vsg)
-        } else {
-            // Forward region R_s fully enumerated.
-            if fwd_cand_seen == 0 {
-                self.stats.negative_terminations += 1;
-                return false;
-            }
-            self.cleanup_forward_complete(s, t, vsg)
-        }
+    fn search(&mut self) -> &mut Search<'a> {
+        &mut self.st
     }
 
-    /// One backward expansion step: pop a proven `R_t` member and mark
-    /// its usable in-neighbors. `Some(true)` when the frontiers meet at a
-    /// candidate.
-    fn bidi_backward_step(&mut self, back_cand_seen: &mut usize) -> Option<bool> {
-        let x = self.back_stack.pop().expect("backward frontier non-empty");
-        let exp = self.g.in_expansion(x, self.labels, true);
-        self.stats.edges_skipped += exp.degree;
-        for e in exp.edges {
-            if !self.labels.contains(e.label) {
-                continue;
-            }
-            self.stats.edges_scanned += 1;
-            self.stats.backward_edges_scanned += 1;
-            self.stats.edges_skipped -= 1;
-            let w = e.vertex;
-            if self.back.is_n(w) {
-                self.back.set(w, CloseState::F);
-                self.back_stack.push(w);
-                self.stats.pushes += 1;
-                if !self.cand.is_n(w) {
-                    *back_cand_seen += 1;
-                    if !self.close.is_n(w) {
-                        return Some(true); // meet at candidate w
-                    }
-                }
-            }
-        }
-        None
+    fn frontier_len(&self) -> usize {
+        self.queue.raw_len()
+    }
+
+    fn frontier_is_empty(&self) -> bool {
+        self.queue.is_empty()
     }
 
     /// One forward `B = F` expansion step over the global queue, with the
@@ -321,210 +113,78 @@ impl Ins<'_> {
     /// `w ⇝_L t` and seeds the backward map instead of returning (the
     /// phase only concludes on a candidate), `Cut`/`Push` prune `F(w)` as
     /// usual, and every fresh forward mark is tested for a meet.
-    fn bidi_forward_step(
-        &mut self,
-        s: VertexId,
-        t: VertexId,
-        fwd_cand_seen: &mut usize,
-        back_cand_seen: &mut usize,
-    ) -> Option<bool> {
-        let ctx = PriorityContext { close: &*self.close, index: self.index, source: s, target: t };
-        let u = self.queue.pop(&ctx)?;
-        let exp = self.g.out_expansion(u, self.labels, true);
-        self.stats.edges_skipped += exp.degree;
+    fn forward_step(&mut self) -> bool {
+        let (s, t) = (self.st.source, self.st.target);
+        let ctx =
+            PriorityContext { close: &*self.st.close, index: self.index, source: s, target: t };
+        let Some(u) = self.queue.pop(&ctx) else { return false };
+        let exp = self.st.g.out_expansion(u, self.st.labels, true);
+        self.st.stats.edges_skipped += exp.degree;
         for e in exp.edges {
-            if !self.labels.contains(e.label) {
+            if !self.st.labels.contains(e.label) {
                 continue;
             }
-            self.stats.edges_scanned += 1;
-            self.stats.edges_skipped -= 1;
+            self.st.stats.edges_scanned += 1;
+            self.st.stats.edges_skipped -= 1;
             let w = e.vertex;
             if self.index.partition().is_landmark(w) {
                 if self.index.partition().af(t) == self.index.partition().af(w) {
-                    self.stats.index_hits += 1;
-                    if self.index.entry_of(w).is_some_and(|entry| entry.check(t, self.labels)) {
+                    self.st.stats.index_hits += 1;
+                    if self.index.entry_of(w).is_some_and(|entry| entry.check(t, self.st.labels)) {
                         // The landmark entry proves w ⇝_L t: w joins the
-                        // backward map as a proven R_t member.
-                        if self.back.is_n(w) {
-                            self.back.set(w, CloseState::F);
-                            self.back_stack.push(w);
-                            self.stats.pushes += 1;
-                            if !self.cand.is_n(w) {
-                                *back_cand_seen += 1;
-                            }
-                        }
-                        if !self.cand.is_n(w) {
-                            return Some(true); // s ⇝ w ∈ V(S,G) and w ⇝ t
+                        // backward map as a proven R_t member, and a
+                        // candidate w decides the query (s ⇝ w ⇝ t).
+                        if self.st.note_backward(w) || !self.st.cand.is_n(w) {
+                            return true;
                         }
                     }
                 }
-                if self.close.is_n(w) {
-                    self.close.set(w, CloseState::F);
-                    if let Some(ans) = self.bidi_note_forward(w, fwd_cand_seen) {
-                        return Some(ans);
-                    }
-                    if let Some(ans) = self.bidi_cut_and_push(w, t, fwd_cand_seen) {
-                        return Some(ans);
+                if self.st.close.is_n(w) {
+                    self.st.close.set(w, CloseState::F);
+                    if self.st.note_forward(w) || self.bidi_cut_and_push(w, t) {
+                        return true;
                     }
                 }
-            } else if self.close.is_n(w) {
-                self.close.set(w, CloseState::F);
+            } else if self.st.close.is_n(w) {
+                self.st.close.set(w, CloseState::F);
                 self.push(w, t);
-                if let Some(ans) = self.bidi_note_forward(w, fwd_cand_seen) {
-                    return Some(ans);
+                if self.st.note_forward(w) {
+                    return true;
                 }
-            }
-        }
-        None
-    }
-
-    /// Candidate/meet accounting for a vertex freshly marked `F` by the
-    /// bidirectional phase's forward side.
-    #[inline]
-    fn bidi_note_forward(&mut self, w: VertexId, fwd_cand_seen: &mut usize) -> Option<bool> {
-        if !self.cand.is_n(w) {
-            *fwd_cand_seen += 1;
-            if !self.back.is_n(w) {
-                return Some(true); // meet at candidate w
-            }
-        }
-        None
-    }
-
-    /// `Cut`/`Push` for the bidirectional phase (`B = F`, `t* = t`): same
-    /// marking as [`cut_and_push`](Self::cut_and_push), plus candidate
-    /// and meet accounting on every fresh mark.
-    fn bidi_cut_and_push(
-        &mut self,
-        w: VertexId,
-        t: VertexId,
-        fwd_cand_seen: &mut usize,
-    ) -> Option<bool> {
-        self.stats.index_hits += 1;
-        let ord = self.index.partition().af(w)?;
-        let entry = self.index.entry(ord);
-        for (x, cms) in entry.ii_pairs() {
-            if self.close.is_n(x) && cms.covers(self.labels) {
-                self.close.set(x, CloseState::F);
-                if let Some(ans) = self.bidi_note_forward(x, fwd_cand_seen) {
-                    return Some(ans);
-                }
-            }
-        }
-        for (lx, exits) in entry.eit_pairs() {
-            if !lx.is_subset_of(self.labels) {
-                continue;
-            }
-            for &x in exits {
-                if self.close.is_n(x) {
-                    self.close.set(x, CloseState::F);
-                    self.push(x, t);
-                    if let Some(ans) = self.bidi_note_forward(x, fwd_cand_seen) {
-                        return Some(ans);
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// Candidate loop once `back` holds all of `R_t`: membership decides
-    /// `v ⇝_L t` (no `B = T` invocation runs), `lcs(s, v, F)` settles the
-    /// forward half, and forward pushes — including partition exits — are
-    /// confined to `R_t`.
-    fn cleanup_back_complete(&mut self, s: VertexId, t: VertexId, vsg: &[VertexId]) -> bool {
-        for &v in vsg {
-            if self.interrupted || self.limits.exceeded(self.stats.edges_scanned) {
-                self.interrupted = true;
-                return false;
-            }
-            match self.close.get(v) {
-                CloseState::N => {
-                    if v == s || v == t {
-                        // Endpoint ∈ V(S,G): reduces to plain s ⇝_L t.
-                        return !self.back.is_n(s);
-                    }
-                    if self.back.is_n(v) {
-                        continue; // v cannot reach t
-                    }
-                    if self.lcs(s, v, false) {
-                        return true;
-                    }
-                }
-                CloseState::F => {
-                    if !self.back.is_n(v) {
-                        return true;
-                    }
-                }
-                CloseState::T => {}
             }
         }
         false
     }
 
-    /// Candidate loop once the forward frontier exhausted: `close ≠ N`
-    /// decides `s ⇝_L v`; the partial backward map is a positive-only
-    /// `v ⇝_L t` shortcut before the classic `B = T` probe.
-    fn cleanup_forward_complete(&mut self, s: VertexId, t: VertexId, vsg: &[VertexId]) -> bool {
-        for &v in vsg {
-            if self.interrupted || self.limits.exceeded(self.stats.edges_scanned) {
-                self.interrupted = true;
-                return false;
-            }
-            match self.close.get(v) {
-                CloseState::N => {
-                    if v == t {
-                        // t ∈ V(S,G) reduces the query to s ⇝_L t, and
-                        // the complete forward region disproves it.
-                        return false;
-                    }
-                    // s cannot reach v: skip without any LCS call.
-                }
-                CloseState::F => {
-                    if v == s || v == t {
-                        return !self.close.is_n(t);
-                    }
-                    if !self.back.is_n(v) {
-                        return true;
-                    }
-                    if self.lcs(v, t, true) {
-                        return true;
-                    }
-                }
-                CloseState::T => {}
-            }
-        }
-        false
-    }
     /// Algorithm 4's `LCS(s*, t*, L, B)` (lines 16-30).
     fn lcs(&mut self, s_star: VertexId, t_star: VertexId, b: bool) -> bool {
-        self.stats.lcs_invocations += 1;
+        self.st.stats.lcs_invocations += 1;
         if s_star == t_star {
             if b {
-                self.close.set(s_star, CloseState::T);
+                self.st.close.set(s_star, CloseState::T);
             }
             return true;
         }
         // Lines 17-18.
         if b {
-            self.close.set(s_star, CloseState::T);
+            self.st.close.set(s_star, CloseState::T);
             self.push(s_star, t_star);
         }
         // Line 19: while (B=F ∧ Q≠φ) or (B = close[Q.first] = T).
         loop {
-            if self.limits.exceeded(self.stats.edges_scanned) {
-                self.interrupted = true;
+            if self.st.limits.exceeded(self.st.stats.edges_scanned) {
+                self.st.interrupted = true;
                 return false;
             }
             // Inline context so the queue (disjoint field) stays borrowable.
             let ctx = PriorityContext {
-                close: &*self.close,
+                close: &*self.st.close,
                 index: self.index,
                 source: t_star,
                 target: t_star,
             };
             let Some(u) = self.queue.pop(&ctx) else { break };
-            if b && !self.close.is_t(u) {
+            if b && !self.st.close.is_t(u) {
                 // Q's top is an F element: it belongs to the suspended
                 // B=F traversal. Put it back and stop this invocation.
                 self.push(u, t_star);
@@ -539,21 +199,21 @@ impl Ins<'_> {
                 }
                 return true;
             }
-            let u_state = self.close.get(u);
+            let u_state = self.st.close.get(u);
             debug_assert!(u_state != CloseState::N, "queued vertices are explored");
 
             // Flat expansion: one slice scan; under a selective L the
             // incident-label mask skips the vertex outright (empty
             // slice), and the accounting keeps skipped = degree −
             // scanned exact either way.
-            let exp = self.g.out_expansion(u, self.labels, self.selective);
-            self.stats.edges_skipped += exp.degree;
+            let exp = self.st.g.out_expansion(u, self.st.labels, self.st.selective);
+            self.st.stats.edges_skipped += exp.degree;
             for e in exp.edges {
-                if !self.labels.contains(e.label) {
+                if !self.st.labels.contains(e.label) {
                     continue;
                 }
-                self.stats.edges_scanned += 1;
-                self.stats.edges_skipped -= 1;
+                self.st.stats.edges_scanned += 1;
+                self.st.stats.edges_skipped -= 1;
                 let w = e.vertex;
 
                 // Reaching t* directly decides this invocation regardless
@@ -570,13 +230,13 @@ impl Ins<'_> {
                     return true;
                 }
 
-                // Cone pruning (see UIS* module docs): with R_t complete,
-                // an unexplored w outside it can neither be part of a
-                // witness path nor — landmark or not — lead the traversal
-                // to any t* that is in R_t (w ⇝ t* ⇝ t would put w in
-                // R_t), so its Check could never fire either.
-                if !b && self.prune_to_back && self.close.is_n(w) && self.back.is_n(w) {
-                    self.stats.frontier_prunes += 1;
+                // Cone pruning (see the `bidi.rs` docs): with R_t
+                // complete, an unexplored w outside it can neither be part
+                // of a witness path nor — landmark or not — lead the
+                // traversal to any t* that is in R_t (w ⇝ t* ⇝ t would put
+                // w in R_t), so its Check could never fire either.
+                if !b && self.st.prune_to_back && self.st.close.is_n(w) && self.st.back.is_n(w) {
+                    self.st.stats.frontier_prunes += 1;
                     continue;
                 }
 
@@ -584,11 +244,11 @@ impl Ins<'_> {
                     // Line 22: t* lives in w's partition and w is its
                     // landmark — the precomputed CMS answers w ⇝_L t*.
                     if self.index.partition().af(t_star) == self.index.partition().af(w) {
-                        self.stats.index_hits += 1;
+                        self.st.stats.index_hits += 1;
                         if self
                             .index
                             .entry_of(w)
-                            .is_some_and(|entry| entry.check(t_star, self.labels))
+                            .is_some_and(|entry| entry.check(t_star, self.st.labels))
                         {
                             // w is deliberately left UNMARKED here: the
                             // `already`-marked idempotence guard below
@@ -608,14 +268,14 @@ impl Ins<'_> {
                     // Lines 24-25: prune F(w) with the local index. Skip
                     // when this landmark was already pruned at this state —
                     // Cut/Push are idempotent per state.
-                    let already = if b { self.close.is_t(w) } else { !self.close.is_n(w) };
+                    let already = if b { self.st.close.is_t(w) } else { !self.st.close.is_n(w) };
                     self.mark(w, b);
                     if !already {
                         self.cut_and_push(w, t_star, b);
                     }
                 } else {
                     // Lines 26-27: ordinary frontier expansion.
-                    let explore = if b { !self.close.is_t(w) } else { self.close.is_n(w) };
+                    let explore = if b { !self.st.close.is_t(w) } else { self.st.close.is_n(w) };
                     if explore {
                         self.mark(w, b);
                         self.push(w, t_star);
@@ -626,36 +286,88 @@ impl Ins<'_> {
         false
     }
 
+    fn candidates(&mut self, vsg: &[VertexId]) -> CandidateHeap {
+        CandidateHeap::new(vsg, &self.heap_context())
+    }
+
+    fn next_candidate(&mut self, heap: &mut CandidateHeap) -> Option<VertexId> {
+        heap.pop(&self.heap_context())
+    }
+}
+
+impl Ins<'_> {
+    /// Priority context of the candidate heap `H`.
+    fn heap_context(&self) -> PriorityContext<'_> {
+        PriorityContext {
+            close: &*self.st.close,
+            index: self.index,
+            source: self.st.source,
+            target: self.st.target,
+        }
+    }
+
+    /// `Cut`/`Push` for the bidirectional phase (`B = F`, `t* = t`): same
+    /// marking as [`cut_and_push`](Self::cut_and_push), plus candidate
+    /// and meet accounting on every fresh mark. `true` on a meet.
+    fn bidi_cut_and_push(&mut self, w: VertexId, t: VertexId) -> bool {
+        self.st.stats.index_hits += 1;
+        let Some(ord) = self.index.partition().af(w) else { return false };
+        let entry = self.index.entry(ord);
+        for (x, cms) in entry.ii_pairs() {
+            if self.st.close.is_n(x) && cms.covers(self.st.labels) {
+                self.st.close.set(x, CloseState::F);
+                if self.st.note_forward(x) {
+                    return true;
+                }
+            }
+        }
+        for (lx, exits) in entry.eit_pairs() {
+            if !lx.is_subset_of(self.st.labels) {
+                continue;
+            }
+            for &x in exits {
+                if self.st.close.is_n(x) {
+                    self.st.close.set(x, CloseState::F);
+                    self.push(x, t);
+                    if self.st.note_forward(x) {
+                        return true;
+                    }
+                }
+            }
+        }
+        false
+    }
+
     /// `Cut(II[w])` and `Push(EIT[w])` (line 25): mark the intra-partition
     /// region reachable under `L` and enqueue its exit frontier.
     fn cut_and_push(&mut self, w: VertexId, t_star: VertexId, b: bool) {
-        self.stats.index_hits += 1;
+        self.st.stats.index_hits += 1;
         let Some(ord) = self.index.partition().af(w) else { return };
         let entry = self.index.entry(ord);
 
         // Cut: for (x, 𝕃) ∈ II[w] with some Lᵢ ⊆ L, close[x] ← B.
         for (x, cms) in entry.ii_pairs() {
-            if self.close.is_t(x) {
+            if self.st.close.is_t(x) {
                 continue;
             }
-            if (b || self.close.is_n(x)) && cms.covers(self.labels) {
+            if (b || self.st.close.is_n(x)) && cms.covers(self.st.labels) {
                 self.mark(x, b);
             }
         }
         // Push: for (Lx, V) ∈ EIT[w] with Lx ⊆ L, enqueue eligible exits.
         for (lx, exits) in entry.eit_pairs() {
-            if !lx.is_subset_of(self.labels) {
+            if !lx.is_subset_of(self.st.labels) {
                 continue;
             }
             for &x in exits {
                 // The landmark entry names x as an exit, but the complete
                 // backward map proves no path from x reaches t — the
                 // partition has no usable way out toward the target.
-                if !b && self.prune_to_back && self.close.is_n(x) && self.back.is_n(x) {
-                    self.stats.frontier_prunes += 1;
+                if !b && self.st.prune_to_back && self.st.close.is_n(x) && self.st.back.is_n(x) {
+                    self.st.stats.frontier_prunes += 1;
                     continue;
                 }
-                let eligible = if b { !self.close.is_t(x) } else { self.close.is_n(x) };
+                let eligible = if b { !self.st.close.is_t(x) } else { self.st.close.is_n(x) };
                 if eligible {
                     self.mark(x, b);
                     self.push(x, t_star);
@@ -668,25 +380,21 @@ impl Ins<'_> {
     fn mark(&mut self, v: VertexId, b: bool) {
         let state = if b { CloseState::T } else { CloseState::F };
         // Never downgrade T.
-        if !(state == CloseState::F && self.close.is_t(v)) {
-            self.close.set(v, state);
+        if !(state == CloseState::F && self.st.close.is_t(v)) {
+            self.st.close.set(v, state);
         }
     }
 
     #[inline]
     fn push(&mut self, v: VertexId, t_star: VertexId) {
-        let ctx =
-            PriorityContext { close: &*self.close, index: self.index, source: v, target: t_star };
+        let ctx = PriorityContext {
+            close: &*self.st.close,
+            index: self.index,
+            source: v,
+            target: t_star,
+        };
         self.queue.push(v, &ctx);
-        self.stats.pushes += 1;
-    }
-
-    fn finish(self, answer: bool, clock: SearchClock) -> QueryOutcome {
-        let mut stats = self.stats;
-        stats.passed_vertices = self.close.passed_vertices();
-        let mut out = QueryOutcome::finished(answer, stats, clock.elapsed());
-        out.interrupted = self.interrupted;
-        out
+        self.st.stats.pushes += 1;
     }
 }
 
@@ -705,6 +413,11 @@ mod tests {
             g,
             &LocalIndexConfig { num_landmarks: Some(k), seed, ..Default::default() },
         )
+    }
+
+    fn answer(g: &Graph, cq: &CompiledLscrQuery, idx: &LocalIndex) -> QueryOutcome {
+        let mut scratch = SearchScratch::new(g.num_vertices());
+        answer_with(g, cq, idx, &mut scratch, &QueryOptions::default())
     }
 
     fn run(g: &Graph, idx: &LocalIndex, s: &str, t: &str, labels: &[&str]) -> QueryOutcome {
@@ -873,24 +586,6 @@ mod tests {
         assert!(out.stats.passed_vertices > 0);
         assert!(out.stats.lcs_invocations >= 1);
         assert_eq!(out.stats.scck_calls, 0); // INS never calls SCck
-    }
-
-    #[test]
-    fn prepared_vsg_entry_point_agrees() {
-        let g = figure3();
-        let idx = build_index(&g, 2, 1);
-        let mut scratch = SearchScratch::new(g.num_vertices());
-        let q = LscrQuery::new(
-            g.vertex_id("v0").unwrap(),
-            g.vertex_id("v4").unwrap(),
-            g.label_set(&["likes", "follows"]),
-            s0(),
-        );
-        let cq = q.compile(&g).unwrap();
-        let vsg = cq.constraint.satisfying_vertices(&g);
-        let out = answer_with_vsg(&g, &cq, &idx, &mut scratch, &vsg, &QueryOptions::default());
-        assert!(out.answer);
-        assert_eq!(out.stats.algorithm, Some(crate::Algorithm::Ins));
     }
 
     #[test]

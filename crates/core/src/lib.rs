@@ -74,6 +74,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod bidi;
 pub mod close;
 pub mod constraint;
 pub mod durable;

@@ -48,14 +48,14 @@ use crate::partition::{
 };
 use kgreach_graph::fxhash::FxHashMap;
 use kgreach_graph::snapshot::{
-    ArtifactKind, PayloadBuf, PayloadCursor, SectionReader, SectionWriter, SliceSectionReader,
+    ArtifactKind, PayloadBuf, PayloadCursor, SectionWriter, SliceSectionReader,
 };
 use kgreach_graph::{Cms, Graph, GraphFingerprint, LabelSet, VertexId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -493,29 +493,14 @@ impl LocalIndex {
         w.section(TAG_INDEX_D, d.as_slice())
     }
 
-    /// Reads the index sections of snapshot format v1 from an open
-    /// container, revalidating every structural invariant the INS search
+    /// Reads the index sections of snapshot format v1 from an in-memory
+    /// container, decoding each section straight out of the borrowed
+    /// payload and revalidating every structural invariant the INS search
     /// relies on. Counterpart of [`write_sections`](Self::write_sections).
-    pub fn read_sections<R: Read>(r: &mut SectionReader<R>) -> kgreach_graph::Result<LocalIndex> {
-        Self::read_sections_with(|tag, name| r.section(tag, name))
-    }
-
-    /// Reads the index sections from an in-memory container, decoding
-    /// each section straight out of the borrowed payload. Same
-    /// validation as [`read_sections`](Self::read_sections).
     pub fn read_sections_slice(
         r: &mut SliceSectionReader<'_>,
     ) -> kgreach_graph::Result<LocalIndex> {
-        Self::read_sections_with(|tag, name| r.section(tag, name))
-    }
-
-    /// The decode loop shared by the streaming and in-memory readers:
-    /// `next` yields each expected section's payload.
-    fn read_sections_with<P: std::ops::Deref<Target = [u8]>>(
-        mut next: impl FnMut(u16, &'static str) -> kgreach_graph::Result<P>,
-    ) -> kgreach_graph::Result<LocalIndex> {
-        let meta_payload = next(TAG_INDEX_META, "index-meta")?;
-        let mut meta = PayloadCursor::new(&meta_payload, "index-meta");
+        let mut meta = PayloadCursor::new(r.section(TAG_INDEX_META, "index-meta")?, "index-meta");
         let fingerprint = GraphFingerprint {
             num_vertices: meta.get_usize()?,
             num_edges: meta.get_usize()?,
@@ -544,8 +529,10 @@ impl LocalIndex {
         meta.finish()?;
         let label_mask = LabelSet::all(num_labels).bits();
 
-        let part_payload = next(TAG_INDEX_PARTITION, "index-partition")?;
-        let mut part = PayloadCursor::new(&part_payload, "index-partition");
+        let mut part = PayloadCursor::new(
+            r.section(TAG_INDEX_PARTITION, "index-partition")?,
+            "index-partition",
+        );
         let mut landmarks = Vec::with_capacity(num_landmarks.min(1 << 20));
         for _ in 0..num_landmarks {
             let u = part.get_u32()?;
@@ -578,8 +565,8 @@ impl LocalIndex {
         part.finish()?;
         let partition = Partition::from_parts(landmarks, af).ok_or(err)?;
 
-        let entries_payload = next(TAG_INDEX_ENTRIES, "index-entries")?;
-        let mut cur = PayloadCursor::new(&entries_payload, "index-entries");
+        let mut cur =
+            PayloadCursor::new(r.section(TAG_INDEX_ENTRIES, "index-entries")?, "index-entries");
         let mut entries = Vec::with_capacity(num_landmarks.min(1 << 20));
         for _ in 0..num_landmarks {
             let ii_len = cur.get_usize()?;
@@ -631,8 +618,7 @@ impl LocalIndex {
         }
         cur.finish()?;
 
-        let d_payload = next(TAG_INDEX_D, "index-d")?;
-        let mut cur = PayloadCursor::new(&d_payload, "index-d");
+        let mut cur = PayloadCursor::new(r.section(TAG_INDEX_D, "index-d")?, "index-d");
         let mut d: Vec<FxHashMap<u32, u32>> = Vec::with_capacity(num_landmarks.min(1 << 20));
         for _ in 0..num_landmarks {
             let len = cur.get_usize()?;
@@ -683,13 +669,12 @@ impl LocalIndex {
     }
 
     /// Reads a complete local-index snapshot written by
-    /// [`save`](Self::save).
-    pub fn load<R: Read>(reader: R) -> kgreach_graph::Result<LocalIndex> {
-        let mut r = SectionReader::new(BufReader::new(reader))?;
-        r.expect_kind(ArtifactKind::LocalIndex)?;
-        let index = Self::read_sections(&mut r)?;
-        r.end()?;
-        Ok(index)
+    /// [`save`](Self::save): the whole stream into memory, then
+    /// [`load_bytes`](Self::load_bytes).
+    pub fn load<R: Read>(mut reader: R) -> kgreach_graph::Result<LocalIndex> {
+        let mut bytes = Vec::new();
+        reader.read_to_end(&mut bytes)?;
+        Self::load_bytes(&bytes)
     }
 
     /// Saves a local-index snapshot to a file path.
@@ -698,8 +683,7 @@ impl LocalIndex {
     }
 
     /// Reads a complete local-index snapshot held in memory, borrowing
-    /// section payloads instead of copying them. Equivalent to
-    /// [`load`](Self::load) on the same bytes.
+    /// section payloads instead of copying them.
     pub fn load_bytes(bytes: &[u8]) -> kgreach_graph::Result<LocalIndex> {
         let mut r = SliceSectionReader::new(bytes)?;
         r.expect_kind(ArtifactKind::LocalIndex)?;
@@ -1008,7 +992,7 @@ mod tests {
 
     #[test]
     fn bytes_path_matches_stream_path() {
-        // The borrowed-slice loader agrees with the streaming loader on
+        // The borrowed-slice loader agrees with the `Read` loader on
         // intact input (canonical re-encode is byte-identical) and on
         // every single-byte flip and truncation (typed error both ways).
         let g = figure3();

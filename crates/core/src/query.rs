@@ -149,41 +149,27 @@ pub struct CompiledLscrQuery {
 
 /// A query compiled and validated once for repeated execution.
 ///
-/// Created by [`LscrEngine::prepare`](crate::LscrEngine::prepare). Beyond
-/// the compiled constraint (shared through the engine's plan cache), a
-/// prepared query memoizes the materialized `V(S,G)` on its first
-/// UIS\*/INS execution, so re-running it skips the SPARQL evaluation
-/// entirely — the BitPath-style amortization of per-query compilation
-/// across a workload. The type is `Sync`: one prepared query can be
+/// Created by [`LscrEngine::prepare`](crate::LscrEngine::prepare): a
+/// handle on the source query and its compiled plan, shared through the
+/// engine's plan cache. The plan carries the `V(S,G)` memo, so the first
+/// UIS\*/INS execution materializes the set and later executions — and
+/// ad-hoc queries with the same SPARQL text — skip the SPARQL
+/// evaluation entirely. The type is `Sync`: one prepared query can be
 /// executed concurrently by many sessions.
 ///
-/// Both memos — the compiled plan and `V(S,G)` — are **epoch-stamped**:
-/// after the engine's graph is updated
-/// ([`LscrEngine::apply_update`](crate::LscrEngine::apply_update)), the
-/// next execution observes the epoch mismatch, recompiles the plan and
-/// re-materializes `V(S,G)` against the new graph, transparently.
+/// After the engine's graph is updated
+/// ([`LscrEngine::apply_update`](crate::LscrEngine::apply_update)), each
+/// execution observes that the plan's epoch is stale and rebinds through
+/// the engine's plan cache against the new graph, transparently.
 #[derive(Debug)]
 pub struct PreparedQuery {
     query: LscrQuery,
-    memo: kgreach_sync::RwLock<Option<PreparedMemo>>,
-}
-
-/// The epoch-stamped memoized state of one [`PreparedQuery`].
-#[derive(Debug, Clone)]
-struct PreparedMemo {
-    /// The [`Graph::epoch`] the plan (and `vsg`, when present) binds to.
-    epoch: u64,
     compiled: CompiledLscrQuery,
-    vsg: Option<Arc<Vec<VertexId>>>,
 }
 
 impl PreparedQuery {
     pub(crate) fn new(query: LscrQuery, compiled: CompiledLscrQuery) -> Self {
-        let epoch = compiled.constraint.graph_epoch();
-        PreparedQuery {
-            query,
-            memo: kgreach_sync::RwLock::new(Some(PreparedMemo { epoch, compiled, vsg: None })),
-        }
+        PreparedQuery { query, compiled }
     }
 
     /// The source query this was prepared from.
@@ -191,68 +177,18 @@ impl PreparedQuery {
         &self.query
     }
 
-    /// The compiled plan bound to `epoch`, re-preparing through the
-    /// engine's plan cache when the memo predates a graph update.
-    pub(crate) fn plan_for_epoch(
-        &self,
-        engine: &crate::LscrEngine,
-        epoch: u64,
-    ) -> CompiledLscrQuery {
-        if let Some(memo) = self.memo.read().expect("prepared memo lock").as_ref() {
-            if memo.epoch == epoch {
-                return memo.compiled.clone();
-            }
-        }
-        let compiled = engine
-            .compile(&self.query)
-            .expect("a query that prepared once re-prepares (ids are stable across updates)");
-        let fresh_epoch = compiled.constraint.graph_epoch();
-        let mut memo = self.memo.write().expect("prepared memo lock");
-        let stale = memo.as_ref().map_or(true, |m| m.epoch != fresh_epoch);
-        if stale {
-            *memo =
-                Some(PreparedMemo { epoch: fresh_epoch, compiled: compiled.clone(), vsg: None });
-        }
-        compiled
+    /// The plan compiled at preparation time.
+    pub(crate) fn compiled(&self) -> &CompiledLscrQuery {
+        &self.compiled
     }
 
-    /// The materialized `V(S,G)` over `g`, memoized per epoch. `compiled`
-    /// must be the plan returned by
-    /// [`plan_for_epoch`](Self::plan_for_epoch) for `g`'s epoch.
-    pub(crate) fn vsg_for_epoch(
-        &self,
-        g: &Graph,
-        compiled: &CompiledLscrQuery,
-    ) -> Arc<Vec<VertexId>> {
-        let epoch = g.epoch();
-        if let Some(memo) = self.memo.read().expect("prepared memo lock").as_ref() {
-            if memo.epoch == epoch {
-                if let Some(vsg) = &memo.vsg {
-                    return Arc::clone(vsg);
-                }
-            }
-        }
-        let vsg = Arc::new(compiled.constraint.satisfying_vertices(g));
-        let mut memo = self.memo.write().expect("prepared memo lock");
-        if let Some(m) = memo.as_mut() {
-            if m.epoch == epoch && m.vsg.is_none() {
-                m.vsg = Some(Arc::clone(&vsg));
-            }
-        }
-        vsg
-    }
-
-    /// `|V(S,G)|` if some execution has already materialized it — a free
-    /// exact selectivity figure for the `Auto` planner. After a graph
-    /// update this may briefly report the pre-update size (a planner
-    /// *hint*, never a correctness input); the next execution
-    /// re-materializes and refreshes it.
+    /// `|V(S,G)|` if some query has already materialized it into the
+    /// prepared plan's memo — a free exact selectivity figure for the
+    /// `Auto` planner. After a graph update this keeps reporting the
+    /// pre-update size, since executions fill the memo of the rebound
+    /// plan instead (a planner *hint*, never a correctness input).
     pub fn vsg_len_if_materialized(&self) -> Option<usize> {
-        self.memo
-            .read()
-            .expect("prepared memo lock")
-            .as_ref()
-            .and_then(|m| m.vsg.as_ref().map(|v| v.len()))
+        self.compiled.constraint.vsg_len_if_materialized()
     }
 }
 

@@ -47,16 +47,16 @@ use std::sync::Arc;
 /// explicitly for harnesses that drive them without an engine.
 #[derive(Debug)]
 pub struct SearchScratch {
-    close: CloseMap,
-    stack: Vec<VertexId>,
-    queue: GlobalQueue,
+    pub(crate) close: CloseMap,
+    pub(crate) stack: Vec<VertexId>,
+    pub(crate) queue: GlobalQueue,
     /// Backward-frontier `close` for the bidirectional phase (UIS\*/INS):
     /// marks the vertices known to reach `t` under `L`.
-    back: CloseMap,
-    back_stack: Vec<VertexId>,
+    pub(crate) back: CloseMap,
+    pub(crate) back_stack: Vec<VertexId>,
     /// `V(S,G)` membership as an O(1)-resettable set (the `CloseMap`
     /// stamp machinery doubles as a bitmap; only `N`/non-`N` is used).
-    cand: CloseMap,
+    pub(crate) cand: CloseMap,
 }
 
 impl SearchScratch {
@@ -85,29 +85,6 @@ impl SearchScratch {
         self.queue.ensure_len(n);
         self.back.ensure_len(n);
         self.cand.ensure_len(n);
-    }
-
-    /// Split borrow for the stack-based algorithms (UIS, UIS\*).
-    pub(crate) fn close_and_stack(&mut self) -> (&mut CloseMap, &mut Vec<VertexId>) {
-        (&mut self.close, &mut self.stack)
-    }
-
-    /// Split borrow for the bidirectional UIS\* kernel: forward close +
-    /// stack, backward close + stack, and the candidate set.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn bidirectional_parts(
-        &mut self,
-    ) -> (&mut CloseMap, &mut Vec<VertexId>, &mut CloseMap, &mut Vec<VertexId>, &mut CloseMap) {
-        (&mut self.close, &mut self.stack, &mut self.back, &mut self.back_stack, &mut self.cand)
-    }
-
-    /// Split borrow for the bidirectional INS kernel: forward close +
-    /// global queue, backward close + stack, and the candidate set.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn bidirectional_queue_parts(
-        &mut self,
-    ) -> (&mut CloseMap, &mut GlobalQueue, &mut CloseMap, &mut Vec<VertexId>, &mut CloseMap) {
-        (&mut self.close, &mut self.queue, &mut self.back, &mut self.back_stack, &mut self.cand)
     }
 }
 
@@ -193,55 +170,24 @@ impl<'e> Session<'e> {
                 );
                 continue;
             }
-            let outcome = self.dispatch(&g, &index, query, resolved, opts, None);
+            let outcome = self.dispatch(&g, &index, query, resolved, opts);
             return self.finalize(&g, query, resolved, outcome, opts);
         }
     }
 
-    /// Executes a [`PreparedQuery`], reusing its memoized plan and
-    /// `V(S,G)` across repeated executions (materialized on the first
-    /// UIS\*/INS execution and shared — including across threads —
-    /// afterwards). After an engine
-    /// [`apply_update`](crate::LscrEngine::apply_update), the memo is
-    /// stale and is transparently re-prepared against the new graph on
-    /// the next execution.
-    ///
-    /// [`QueryOptions::vsg_order`] is honored: a shuffled order copies
-    /// the memoized set and permutes it (O(|V(S,G)|), still skipping the
-    /// SPARQL evaluation).
+    /// Executes a [`PreparedQuery`]: its compiled plan runs through
+    /// [`answer_compiled`](Self::answer_compiled), so `V(S,G)` comes
+    /// from the plan's shared memo (materialized on the first UIS\*/INS
+    /// execution) and a plan that predates an engine
+    /// [`apply_update`](crate::LscrEngine::apply_update) rebinds through
+    /// the engine's plan cache.
     pub fn answer_prepared(
         &mut self,
         prepared: &PreparedQuery,
         algorithm: Algorithm,
         opts: &QueryOptions,
     ) -> QueryOutcome {
-        loop {
-            let query = prepared.plan_for_epoch(self.engine, self.engine.graph_epoch());
-            let resolved = self.resolve(&query, algorithm, prepared.vsg_len_if_materialized());
-            let (g, index) = self.pin(resolved);
-            if query.constraint.graph_epoch() != g.epoch() {
-                continue; // an update raced the pin; re-prepare and retry
-            }
-            let vsg = matches!(resolved, Algorithm::UisStar | Algorithm::Ins)
-                .then(|| prepared.vsg_for_epoch(&g, &query));
-            // The paper's "disordered" semantics only affect UIS* (INS's
-            // heap imposes its own order): shuffle a copy of the memoized
-            // set.
-            let shuffled;
-            let vsg: Option<&[VertexId]> = match (resolved, opts.vsg_order, &vsg) {
-                (Algorithm::UisStar, crate::query::VsgOrder::Shuffled(seed), Some(v)) => {
-                    use rand::seq::SliceRandom;
-                    use rand::SeedableRng;
-                    let mut copy = v.to_vec();
-                    copy.shuffle(&mut rand::rngs::SmallRng::seed_from_u64(seed));
-                    shuffled = copy;
-                    Some(shuffled.as_slice())
-                }
-                (_, _, v) => v.as_ref().map(|v| v.as_slice()),
-            };
-            let outcome = self.dispatch(&g, &index, &query, resolved, opts, vsg);
-            return self.finalize(&g, &query, resolved, outcome, opts);
-        }
+        self.answer_compiled(prepared.compiled(), algorithm, opts)
     }
 
     /// Pins one consistent `(graph, index)` snapshot for a query, builds
@@ -279,7 +225,6 @@ impl<'e> Session<'e> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn dispatch(
         &mut self,
         g: &kgreach_graph::Graph,
@@ -287,22 +232,15 @@ impl<'e> Session<'e> {
         query: &CompiledLscrQuery,
         algorithm: Algorithm,
         opts: &QueryOptions,
-        vsg: Option<&[VertexId]>,
     ) -> QueryOutcome {
         debug_assert!(algorithm != Algorithm::Auto, "Auto resolved before dispatch");
         let scratch = self.scratch.as_mut().expect("scratch present until drop");
         match algorithm {
             Algorithm::Uis => uis::answer_with(g, query, scratch, opts),
-            Algorithm::UisStar => match vsg {
-                Some(vsg) => uis_star::answer_with_order(g, query, scratch, vsg, opts),
-                None => uis_star::answer_with(g, query, scratch, opts),
-            },
+            Algorithm::UisStar => uis_star::answer_with(g, query, scratch, opts),
             Algorithm::Ins => {
                 let index = index.as_ref().expect("index pinned for INS");
-                match vsg {
-                    Some(vsg) => ins::answer_with_vsg(g, query, index, scratch, vsg, opts),
-                    None => ins::answer_with(g, query, index, scratch, opts),
-                }
+                ins::answer_with(g, query, index, scratch, opts)
             }
             Algorithm::Oracle | Algorithm::Auto => oracle::answer(g, query),
         }

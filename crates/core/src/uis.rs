@@ -13,7 +13,7 @@
 //! `O(|V|·(|V_S|+|E_S|+|E_?|) + |E|)` time bound (Theorem 3.3) pays for.
 //!
 //! ```
-//! use kgreach::LscrQuery;
+//! use kgreach::{LscrQuery, QueryOptions, SearchScratch};
 //! use kgreach::fixtures::{figure3, s0};
 //!
 //! let g = figure3();
@@ -23,7 +23,9 @@
 //!     g.label_set(&["likes", "follows"]),
 //!     s0(),
 //! );
-//! let out = kgreach::uis::answer(&g, &q.compile(&g).unwrap());
+//! let mut scratch = SearchScratch::new(g.num_vertices());
+//! let opts = QueryOptions::default();
+//! let out = kgreach::uis::answer_with(&g, &q.compile(&g).unwrap(), &mut scratch, &opts);
 //! assert!(out.answer);
 //! assert!(out.stats.scck_calls > 0); // per-vertex SCck, no V(S,G)
 //! ```
@@ -44,7 +46,7 @@ pub fn answer_with(
     let clock = SearchClock::start_now();
     let limits = clock.limits(opts);
     let mut stats = SearchStats { algorithm: Some(crate::Algorithm::Uis), ..Default::default() };
-    let (close, stack) = scratch.close_and_stack();
+    let SearchScratch { close, stack, .. } = scratch;
     close.reset();
     stack.clear();
 
@@ -122,12 +124,6 @@ pub fn answer_with(
     finish(false, stats, close, clock)
 }
 
-/// Answers `q` with freshly allocated scratch and default options.
-pub fn answer(g: &Graph, q: &CompiledLscrQuery) -> QueryOutcome {
-    let mut scratch = SearchScratch::new(g.num_vertices());
-    answer_with(g, q, &mut scratch, &QueryOptions::default())
-}
-
 fn finish(
     answer: bool,
     mut stats: SearchStats,
@@ -146,6 +142,11 @@ mod tests {
     use crate::oracle;
     use crate::query::LscrQuery;
     use kgreach_graph::GraphBuilder;
+
+    fn answer(g: &Graph, q: &CompiledLscrQuery) -> QueryOutcome {
+        let mut scratch = SearchScratch::new(g.num_vertices());
+        answer_with(g, q, &mut scratch, &QueryOptions::default())
+    }
 
     fn run(g: &Graph, s: &str, t: &str, labels: &[&str]) -> QueryOutcome {
         let q = LscrQuery::new(

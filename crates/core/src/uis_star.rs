@@ -16,42 +16,16 @@
 //! shows the *order* in which `V(S,G)` is processed dominates real
 //! performance (§6: UIS\* often loses to plain UIS because the set is
 //! unordered and the search keeps "falling into bad directions"; INS fixes
-//! exactly this). [`answer_seeded`] reproduces that unordered behaviour.
+//! exactly this). [`VsgOrder::Shuffled`] reproduces that unordered
+//! behaviour.
 //!
-//! # Bidirectional phase and early negative termination
-//!
-//! Under a *selective* label constraint
-//! ([`Graph::expansion_selective`]), when `V(S,G)` is large enough
-//! ([`QueryOptions::bidi_min_candidates`](crate::QueryOptions)), the
-//! candidate loop is preceded by a meet-in-the-middle phase: a backward frontier over the reverse
-//! label-masked expansion view ([`Graph::in_expansion`]) races the usual
-//! forward `B = F` frontier, alternating by the smaller-frontier
-//! heuristic. The query is decided the moment the frontiers intersect *at
-//! a `V(S,G)` candidate* (meeting at a non-candidate proves nothing — the
-//! witness must pass through `V(S,G)`). When one side exhausts first, its
-//! `close` map becomes an O(1) oracle for that side's half of every
-//! remaining `s ⇝_L v ⇝_L t` check:
-//!
-//! * backward exhausted with **no candidate in `R_t`** — early negative
-//!   termination, no candidate loop at all;
-//! * backward exhausted otherwise — `v ⇝_L t` is decided by `R_t`
-//!   membership (no `B = T` invocation ever runs) and forward expansion
-//!   prunes every push outside `R_t` (any useful intermediate `x` on a
-//!   path to a candidate `v ∈ R_t` satisfies `x ⇝ v ⇝ t`, so `x ∈ R_t`);
-//! * forward exhausted — `s ⇝_L v` is decided by `close ≠ N`, with the
-//!   partial backward map kept as a positive-only shortcut.
-//!
-//! Two O(1) mask prechecks run even earlier: when `s` has no usable
-//! out-label or `t` no usable in-label under `L`, no one-or-more-edge
-//! path can start or finish, and the query falls to its zero-edge case.
-//! The phase is gated on selectivity — broad-`L` queries keep the
-//! classic single-frontier path byte for byte — and on candidate count:
-//! the backward closure replaces up to `|V(S,G)|` per-candidate `v ⇝ t`
-//! probes, so for small candidate sets the classic chained probes win
-//! and the phase stays off.
+//! The control flow around `LCS` — the mask prechecks, the candidate loop
+//! and the bidirectional phase (ARCHITECTURE.md, "Query lifecycle") — is
+//! shared with INS and lives in `bidi.rs`; this module supplies the stack
+//! frontier, its forward step and `LCS`.
 //!
 //! ```
-//! use kgreach::LscrQuery;
+//! use kgreach::{LscrQuery, QueryOptions, SearchScratch};
 //! use kgreach::fixtures::{figure3, s0};
 //!
 //! let g = figure3();
@@ -61,26 +35,22 @@
 //!     g.label_set(&["likes", "follows"]),
 //!     s0(),
 //! );
-//! let out = kgreach::uis_star::answer(&g, &q.compile(&g).unwrap());
+//! let mut scratch = SearchScratch::new(g.num_vertices());
+//! let opts = QueryOptions::default();
+//! let out = kgreach::uis_star::answer_with(&g, &q.compile(&g).unwrap(), &mut scratch, &opts);
 //! assert!(out.answer);
 //! assert_eq!(out.stats.vsg_size, Some(2)); // V(S0, G0) = {v1, v2}
 //! ```
 
-use crate::close::{CloseMap, CloseState};
+use crate::bidi::{self, Kernel, Search};
+use crate::close::CloseState;
 use crate::query::{
-    CompiledLscrQuery, QueryOptions, QueryOutcome, RunLimits, SearchClock, SearchStats, VsgOrder,
+    CompiledLscrQuery, QueryOptions, QueryOutcome, SearchClock, SearchStats, VsgOrder,
 };
 use crate::session::SearchScratch;
-use kgreach_graph::{Graph, LabelSet, VertexId};
+use kgreach_graph::{Graph, VertexId};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-
-/// Answers `q` with freshly allocated scratch and default options
-/// (ascending `V(S,G)` order).
-pub fn answer(g: &Graph, q: &CompiledLscrQuery) -> QueryOutcome {
-    let mut scratch = SearchScratch::new(g.num_vertices());
-    answer_with(g, q, &mut scratch, &QueryOptions::default())
-}
 
 /// Answers `q` with session-owned scratch (reset here), materializing
 /// `V(S,G)` in the order requested by [`QueryOptions::vsg_order`].
@@ -110,362 +80,93 @@ pub fn answer_with(
     } else {
         &vsg
     };
-    let mut outcome = run(g, q, scratch, vsg, limits, clock);
-    outcome.elapsed = clock.elapsed();
-    outcome
-}
-
-/// Answers `q`, shuffling `V(S,G)` with the given seed — the paper's
-/// "disordered" semantics (§4: existing SPARQL engines cannot order the
-/// matches usefully for reachability). Shorthand for [`answer_with`] with
-/// [`VsgOrder::Shuffled`].
-pub fn answer_seeded(
-    g: &Graph,
-    q: &CompiledLscrQuery,
-    scratch: &mut SearchScratch,
-    seed: u64,
-) -> QueryOutcome {
-    answer_with(g, q, scratch, &QueryOptions::default().with_vsg_order(VsgOrder::Shuffled(seed)))
-}
-
-/// Answers `q`, processing an already-materialized `V(S,G)` exactly in
-/// the order given — the entry point for prepared queries, whose
-/// materialization cost is amortized across executions.
-/// [`QueryOptions::vsg_order`] is ignored (the order is explicit); the
-/// step budget and timeout still apply.
-pub fn answer_with_order(
-    g: &Graph,
-    q: &CompiledLscrQuery,
-    scratch: &mut SearchScratch,
-    vsg: &[VertexId],
-    opts: &QueryOptions,
-) -> QueryOutcome {
-    let clock = SearchClock::start_now();
-    run(g, q, scratch, vsg, clock.limits(opts), clock)
-}
-
-fn run(
-    g: &Graph,
-    q: &CompiledLscrQuery,
-    scratch: &mut SearchScratch,
-    vsg: &[VertexId],
-    limits: RunLimits,
-    clock: SearchClock,
-) -> QueryOutcome {
-    let (close, stack, back, back_stack, cand) = scratch.bidirectional_parts();
-    close.reset();
-    stack.clear();
-
-    let mut state = UisStar {
-        g,
-        labels: q.label_constraint,
-        // One strategy decision for every LCS invocation of this query.
-        selective: g.expansion_selective(q.label_constraint),
-        close,
-        stack,
-        back,
-        back_stack,
-        cand,
-        prune_to_back: false,
-        stats: SearchStats {
-            vsg_size: Some(vsg.len()),
-            algorithm: Some(crate::Algorithm::UisStar),
-            ..Default::default()
-        },
-        limits,
-        interrupted: false,
+    let stats = SearchStats {
+        vsg_size: Some(vsg.len()),
+        algorithm: Some(crate::Algorithm::UisStar),
+        ..Default::default()
     };
-
+    let (mut st, stack, _) = Search::split(g, q, scratch, stats, limits);
     // Lines 1-2: global stack with s; close[s] ← F.
-    state.stack.push(q.source);
-    state.stats.pushes += 1;
-    state.close.set(q.source, CloseState::F);
-
-    let s = q.source;
-    let t = q.target;
-
-    if vsg.is_empty() {
-        return state.finish(false, clock);
-    }
-
-    // O(1) mask prechecks: with no out-label of s (or no in-label of t)
-    // usable under L, no path with ≥ 1 edge can leave s (or enter t) —
-    // only the zero-edge s = t witness remains, and s ≠ t rules it out.
-    if s != t
-        && (g.out_label_mask(s).intersection(q.label_constraint).is_empty()
-            || g.in_label_mask(t).intersection(q.label_constraint).is_empty())
-    {
-        state.stats.negative_terminations += 1;
-        return state.finish(false, clock);
-    }
-
-    // Selective L over a large candidate set: meet-in-the-middle phase
-    // (see the module docs); it either decides the query outright or
-    // completes one frontier and finishes through the specialized
-    // cleanup loops. Small candidate sets stay on the classic chained
-    // probes — one backward closure can only beat them when it replaces
-    // many per-candidate `v ⇝ t` probes.
-    if state.selective && vsg.len() >= state.limits.bidi_min_candidates {
-        let answer = state.bidirectional(s, t, vsg);
-        return state.finish(answer, clock);
-    }
-
-    // Lines 3-12.
-    let mut answer = false;
-    for &v in vsg {
-        if state.interrupted || state.limits.exceeded(state.stats.edges_scanned) {
-            state.interrupted = true;
-            break;
-        }
-        match state.close.get(v) {
-            CloseState::N => {
-                if v == s || v == t {
-                    // v ∈ V(S,G) coincides with an endpoint: plain
-                    // label-reachability decides the whole query.
-                    answer = state.lcs(s, t, false);
-                    return state.finish(answer, clock);
-                } else if state.lcs(s, v, false) && state.lcs(v, t, true) {
-                    answer = true;
-                    break;
-                }
-            }
-            CloseState::F => {
-                if state.lcs(v, t, true) {
-                    answer = true;
-                    break;
-                }
-            }
-            // T: v's whole L-reachable region was already explored in a
-            // previous B = T invocation and t was not in it.
-            CloseState::T => {}
-        }
-    }
-
-    state.finish(answer, clock)
+    stack.clear();
+    stack.push(q.source);
+    st.stats.pushes += 1;
+    st.close.set(q.source, CloseState::F);
+    bidi::run(UisStar { st, stack }, vsg, clock)
 }
 
 struct UisStar<'a> {
-    g: &'a Graph,
-    labels: LabelSet,
-    /// Whether mask-guided expansion pays for this query's `L`.
-    selective: bool,
-    close: &'a mut CloseMap,
+    st: Search<'a>,
     stack: &'a mut Vec<VertexId>,
-    /// Backward `close`: marks `R_t`, the vertices that reach `t` under
-    /// `L` (complete exactly when the bidirectional phase exhausted the
-    /// backward frontier).
-    back: &'a mut CloseMap,
-    back_stack: &'a mut Vec<VertexId>,
-    /// `V(S,G)` membership (`N` = not a candidate).
-    cand: &'a mut CloseMap,
-    /// When set (backward frontier completed), forward expansion skips
-    /// every push outside `R_t` — cone pruning, sound because any useful
-    /// intermediate `x` on a path to a candidate `v ∈ R_t` satisfies
-    /// `x ⇝ v ⇝ t`.
-    prune_to_back: bool,
-    stats: SearchStats,
-    limits: RunLimits,
-    interrupted: bool,
 }
 
-impl UisStar<'_> {
-    /// The meet-in-the-middle phase plus its cleanup loops; always
-    /// returns the final answer (setting `interrupted` on truncation).
-    fn bidirectional(&mut self, s: VertexId, t: VertexId, vsg: &[VertexId]) -> bool {
-        self.back.reset();
-        self.back_stack.clear();
-        self.cand.reset();
-        for &v in vsg {
-            self.cand.set(v, CloseState::F);
-        }
-        let mut fwd_cand_seen = usize::from(!self.cand.is_n(s));
-        let mut back_cand_seen = 0usize;
+impl<'a> Kernel<'a> for UisStar<'a> {
+    type Candidates<'v> = std::slice::Iter<'v, VertexId>;
 
-        // Seed the backward frontier at t.
-        self.back.set(t, CloseState::F);
-        self.back_stack.push(t);
-        self.stats.pushes += 1;
-        if !self.cand.is_n(t) {
-            back_cand_seen += 1;
-            if !self.close.is_n(t) {
-                return true; // s = t ∈ V(S,G): zero-edge witness
-            }
-        }
-
-        // Race the frontiers, expanding the smaller one each step, until
-        // they meet at a candidate or one side exhausts.
-        while !self.stack.is_empty() && !self.back_stack.is_empty() {
-            if self.limits.exceeded(self.stats.edges_scanned) {
-                self.interrupted = true;
-                return false;
-            }
-            if self.back_stack.len() <= self.stack.len() {
-                let x = self.back_stack.pop().expect("backward frontier non-empty");
-                let exp = self.g.in_expansion(x, self.labels, true);
-                self.stats.edges_skipped += exp.degree;
-                for e in exp.edges {
-                    if !self.labels.contains(e.label) {
-                        continue;
-                    }
-                    self.stats.edges_scanned += 1;
-                    self.stats.backward_edges_scanned += 1;
-                    self.stats.edges_skipped -= 1;
-                    let w = e.vertex;
-                    if self.back.is_n(w) {
-                        self.back.set(w, CloseState::F);
-                        self.back_stack.push(w);
-                        self.stats.pushes += 1;
-                        if !self.cand.is_n(w) {
-                            back_cand_seen += 1;
-                            if !self.close.is_n(w) {
-                                return true; // meet at candidate w
-                            }
-                        }
-                    }
-                }
-            } else {
-                // One B = F expansion step over the shared global stack —
-                // identical marking discipline to `lcs`, so later
-                // invocations resume this traversal (Theorem 4.1).
-                let u = self.stack.pop().expect("forward frontier non-empty");
-                let exp = self.g.out_expansion(u, self.labels, true);
-                self.stats.edges_skipped += exp.degree;
-                for e in exp.edges {
-                    if !self.labels.contains(e.label) {
-                        continue;
-                    }
-                    self.stats.edges_scanned += 1;
-                    self.stats.edges_skipped -= 1;
-                    let w = e.vertex;
-                    if self.close.is_n(w) {
-                        self.close.set(w, CloseState::F);
-                        self.stack.push(w);
-                        self.stats.pushes += 1;
-                        if !self.cand.is_n(w) {
-                            fwd_cand_seen += 1;
-                            if !self.back.is_n(w) {
-                                return true; // meet at candidate w
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        if self.back_stack.is_empty() {
-            // R_t fully enumerated.
-            if back_cand_seen == 0 {
-                // No candidate reaches t: early negative termination —
-                // the candidate loop is skipped entirely.
-                self.stats.negative_terminations += 1;
-                return false;
-            }
-            self.prune_to_back = true;
-            self.cleanup_back_complete(s, t, vsg)
-        } else {
-            // The forward region R_s is fully enumerated.
-            if fwd_cand_seen == 0 {
-                self.stats.negative_terminations += 1;
-                return false;
-            }
-            self.cleanup_forward_complete(s, t, vsg)
-        }
+    fn search(&mut self) -> &mut Search<'a> {
+        &mut self.st
     }
 
-    /// Candidate loop once `back` holds all of `R_t`: `v ⇝_L t` is a
-    /// membership probe (no `B = T` invocation runs), and `lcs(s, v, F)`
-    /// settles the forward half with pushes confined to `R_t`.
-    fn cleanup_back_complete(&mut self, s: VertexId, t: VertexId, vsg: &[VertexId]) -> bool {
-        for &v in vsg {
-            if self.interrupted || self.limits.exceeded(self.stats.edges_scanned) {
-                self.interrupted = true;
-                return false;
+    fn frontier_len(&self) -> usize {
+        self.stack.len()
+    }
+
+    fn frontier_is_empty(&self) -> bool {
+        self.stack.is_empty()
+    }
+
+    /// One B = F expansion step over the shared global stack — identical
+    /// marking discipline to `lcs`, so later invocations resume this
+    /// traversal (Theorem 4.1).
+    fn forward_step(&mut self) -> bool {
+        let Some(u) = self.stack.pop() else { return false };
+        let st = &mut self.st;
+        let exp = st.g.out_expansion(u, st.labels, true);
+        st.stats.edges_skipped += exp.degree;
+        for e in exp.edges {
+            if !st.labels.contains(e.label) {
+                continue;
             }
-            match self.close.get(v) {
-                CloseState::N => {
-                    if v == s || v == t {
-                        // Endpoint ∈ V(S,G): the query reduces to plain
-                        // s ⇝_L t, and R_t membership decides it.
-                        return !self.back.is_n(s);
-                    }
-                    if self.back.is_n(v) {
-                        continue; // v cannot reach t
-                    }
-                    if self.lcs(s, v, false) {
-                        return true; // s ⇝ v and v ∈ R_t
-                    }
+            st.stats.edges_scanned += 1;
+            st.stats.edges_skipped -= 1;
+            let w = e.vertex;
+            if st.close.is_n(w) {
+                st.close.set(w, CloseState::F);
+                self.stack.push(w);
+                st.stats.pushes += 1;
+                if st.note_forward(w) {
+                    return true;
                 }
-                CloseState::F => {
-                    if !self.back.is_n(v) {
-                        return true; // s ⇝ v already known
-                    }
-                }
-                CloseState::T => {}
             }
         }
         false
     }
 
-    /// Candidate loop once the forward frontier exhausted: `close ≠ N`
-    /// decides `s ⇝_L v`, and the partial backward map doubles as a
-    /// positive-only `v ⇝_L t` shortcut before the classic `B = T` probe.
-    fn cleanup_forward_complete(&mut self, s: VertexId, t: VertexId, vsg: &[VertexId]) -> bool {
-        for &v in vsg {
-            if self.interrupted || self.limits.exceeded(self.stats.edges_scanned) {
-                self.interrupted = true;
-                return false;
-            }
-            match self.close.get(v) {
-                CloseState::N => {
-                    if v == t {
-                        // t ∈ V(S,G) reduces the query to s ⇝_L t, and
-                        // the complete forward region disproves it.
-                        return false;
-                    }
-                    // s cannot reach v: skip without any LCS call.
-                }
-                CloseState::F => {
-                    if v == s || v == t {
-                        // Endpoint ∈ V(S,G): reduces to s ⇝_L t.
-                        return !self.close.is_n(t);
-                    }
-                    if !self.back.is_n(v) {
-                        return true; // backward phase already proved v ⇝ t
-                    }
-                    if self.lcs(v, t, true) {
-                        return true;
-                    }
-                }
-                CloseState::T => {}
-            }
-        }
-        false
-    }
     /// The paper's `LCS(s*, t*, L, B)` (Algorithm 2, lines 14-24),
     /// verifying `s* ⇝_L t*` over the shared stack/`close`.
     fn lcs(&mut self, s_star: VertexId, t_star: VertexId, b: bool) -> bool {
-        self.stats.lcs_invocations += 1;
+        let st = &mut self.st;
+        st.stats.lcs_invocations += 1;
         if s_star == t_star {
             // Zero-edge path: for B = T, s* additionally becomes T.
             if b {
-                self.close.set(s_star, CloseState::T);
+                st.close.set(s_star, CloseState::T);
             }
             return true;
         }
         // Lines 15-16.
         if b {
-            self.close.set(s_star, CloseState::T);
+            st.close.set(s_star, CloseState::T);
             self.stack.push(s_star);
-            self.stats.pushes += 1;
+            st.stats.pushes += 1;
         }
         // Line 17: while (B=F ∧ S≠φ) or (B = close[S.first] = T).
         loop {
-            if self.limits.exceeded(self.stats.edges_scanned) {
-                self.interrupted = true;
+            if st.limits.exceeded(st.stats.edges_scanned) {
+                st.interrupted = true;
                 return false;
             }
             let u = match self.stack.last() {
-                Some(&top) if !b || self.close.is_t(top) => {
+                Some(&top) if !b || st.close.is_t(top) => {
                     self.stack.pop();
                     top
                 }
@@ -475,28 +176,28 @@ impl UisStar<'_> {
             // incident-label mask skips the vertex outright (empty
             // slice), and the accounting keeps skipped = degree −
             // scanned exact either way.
-            let exp = self.g.out_expansion(u, self.labels, self.selective);
-            self.stats.edges_skipped += exp.degree;
+            let exp = st.g.out_expansion(u, st.labels, st.selective);
+            st.stats.edges_skipped += exp.degree;
             for e in exp.edges {
-                if !self.labels.contains(e.label) {
+                if !st.labels.contains(e.label) {
                     continue;
                 }
-                self.stats.edges_scanned += 1;
-                self.stats.edges_skipped -= 1;
+                st.stats.edges_scanned += 1;
+                st.stats.edges_skipped -= 1;
                 let w = e.vertex;
                 // Line 20: case 1 (B=T ∧ close[w]≠T), case 2 (B=F ∧ close[w]=N).
-                let explore = if b { !self.close.is_t(w) } else { self.close.is_n(w) };
-                if explore && self.prune_to_back && self.back.is_n(w) {
+                let explore = if b { !st.close.is_t(w) } else { st.close.is_n(w) };
+                if explore && st.prune_to_back && st.back.is_n(w) {
                     // Cone pruning: the complete backward region proves w
                     // cannot reach t, so no path through w can serve any
                     // remaining candidate (all of them sit in R_t).
-                    self.stats.frontier_prunes += 1;
+                    st.stats.frontier_prunes += 1;
                     continue;
                 }
                 if explore {
-                    self.close.set(w, if b { CloseState::T } else { CloseState::F });
+                    st.close.set(w, if b { CloseState::T } else { CloseState::F });
                     self.stack.push(w);
-                    self.stats.pushes += 1;
+                    st.stats.pushes += 1;
                     if w == t_star {
                         // Correctness fix over the paper's literal Alg. 2:
                         // a B=F invocation returning mid-scan would lose
@@ -506,7 +207,7 @@ impl UisStar<'_> {
                         // already-explored neighbors are skipped by case 2.
                         if !b {
                             self.stack.push(u);
-                            self.stats.pushes += 1;
+                            st.stats.pushes += 1;
                         }
                         return true;
                     }
@@ -517,7 +218,7 @@ impl UisStar<'_> {
         // the next B = F invocation resumes at the old F frontier.
         if b {
             while let Some(&x) = self.stack.last() {
-                if self.close.is_t(x) {
+                if st.close.is_t(x) {
                     self.stack.pop();
                 } else {
                     break;
@@ -527,11 +228,12 @@ impl UisStar<'_> {
         false
     }
 
-    fn finish(mut self, answer: bool, clock: SearchClock) -> QueryOutcome {
-        self.stats.passed_vertices = self.close.passed_vertices();
-        let mut out = QueryOutcome::finished(answer, self.stats, clock.elapsed());
-        out.interrupted = self.interrupted;
-        out
+    fn candidates<'v>(&mut self, vsg: &'v [VertexId]) -> Self::Candidates<'v> {
+        vsg.iter()
+    }
+
+    fn next_candidate(&mut self, candidates: &mut Self::Candidates<'_>) -> Option<VertexId> {
+        candidates.next().copied()
     }
 }
 
@@ -551,7 +253,8 @@ mod tests {
             g.label_set(labels),
             s0(),
         );
-        answer(g, &q.compile(g).unwrap())
+        let mut scratch = SearchScratch::new(g.num_vertices());
+        answer_with(g, &q.compile(g).unwrap(), &mut scratch, &QueryOptions::default())
     }
 
     #[test]
@@ -628,7 +331,7 @@ mod tests {
                         "uis* vs oracle on {s}->{t} {ls:?}"
                     );
                     assert_eq!(
-                        crate::uis::answer(&g, &cq).answer,
+                        crate::uis::answer_with(&g, &cq, &mut scratch, &opts).answer,
                         expected,
                         "uis vs oracle on {s}->{t} {ls:?}"
                     );
@@ -654,33 +357,15 @@ mod tests {
                 let cq = q.compile(&g).unwrap();
                 let reference = answer_with(&g, &cq, &mut scratch, &opts).answer;
                 for seed in 0..10 {
+                    let shuffled = opts.clone().with_vsg_order(VsgOrder::Shuffled(seed));
                     assert_eq!(
-                        answer_seeded(&g, &cq, &mut scratch, seed).answer,
+                        answer_with(&g, &cq, &mut scratch, &shuffled).answer,
                         reference,
                         "seed {seed} changed the answer for {s}->{t}"
                     );
                 }
             }
         }
-    }
-
-    #[test]
-    fn prepared_order_entry_point_agrees() {
-        // answer_with_order over a pre-materialized V(S,G) gives the same
-        // answers as the self-materializing path.
-        let g = figure3();
-        let mut scratch = SearchScratch::new(g.num_vertices());
-        let q = LscrQuery::new(
-            g.vertex_id("v3").unwrap(),
-            g.vertex_id("v4").unwrap(),
-            g.label_set(&["likes", "hates", "friendOf"]),
-            s0(),
-        );
-        let cq = q.compile(&g).unwrap();
-        let vsg = cq.constraint.satisfying_vertices(&g);
-        let out = answer_with_order(&g, &cq, &mut scratch, &vsg, &QueryOptions::default());
-        assert!(out.answer);
-        assert_eq!(out.stats.vsg_size, Some(vsg.len()));
     }
 
     #[test]
@@ -721,7 +406,8 @@ mod tests {
             g.all_labels(),
             c,
         );
-        let out = answer(&g, &q.compile(&g).unwrap());
+        let mut scratch = SearchScratch::new(g.num_vertices());
+        let out = answer_with(&g, &q.compile(&g).unwrap(), &mut scratch, &QueryOptions::default());
         assert!(!out.answer);
         assert_eq!(out.stats.vsg_size, Some(0));
         assert_eq!(out.stats.lcs_invocations, 0);

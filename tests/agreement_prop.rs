@@ -4,7 +4,7 @@
 
 use kgreach::{
     Algorithm, LocalIndex, LocalIndexConfig, LscrQuery, QueryOptions, SearchScratch,
-    SubstructureConstraint,
+    SubstructureConstraint, VsgOrder,
 };
 use kgreach_graph::{LabelSet, VertexId};
 use kgreach_integration::random_typed_graph;
@@ -47,21 +47,25 @@ proptest! {
             kgreach::uis::answer_with(&g, &cq, &mut scratch, &opts).answer,
             expected, "UIS"
         );
-        prop_assert_eq!(
-            kgreach::uis_star::answer_with(&g, &cq, &mut scratch, &opts).answer,
-            expected, "UIS*"
-        );
-        prop_assert_eq!(
-            kgreach::uis_star::answer_seeded(&g, &cq, &mut scratch, seed).answer,
-            expected, "UIS* shuffled"
-        );
+        // The forced-open candidate gate runs the bidirectional phase on
+        // these small graphs, whose V(S,G) never reaches the default gate.
+        let forced_bidi = QueryOptions::default().with_bidi_min_candidates(0);
+        let shuffled = QueryOptions::default().with_vsg_order(VsgOrder::Shuffled(seed));
+        for (name, opts) in [("default", &opts), ("forced bidi", &forced_bidi), ("shuffled", &shuffled)] {
+            prop_assert_eq!(
+                kgreach::uis_star::answer_with(&g, &cq, &mut scratch, opts).answer,
+                expected, "UIS* {}", name
+            );
+        }
         for k in [1usize, 4, 16] {
             let idx = LocalIndex::build(&g, &LocalIndexConfig { num_landmarks: Some(k), seed, ..Default::default() });
-            prop_assert_eq!(
-                kgreach::ins::answer_with(&g, &cq, &idx, &mut scratch, &opts).answer,
-                expected,
-                "INS k={}", k
-            );
+            for (name, opts) in [("default", &opts), ("forced bidi", &forced_bidi)] {
+                prop_assert_eq!(
+                    kgreach::ins::answer_with(&g, &cq, &idx, &mut scratch, opts).answer,
+                    expected,
+                    "INS k={} {}", k, name
+                );
+            }
         }
     }
 

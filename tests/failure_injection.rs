@@ -242,11 +242,12 @@ fn snapshot_every_bit_flip_is_typed() {
 }
 
 // ---------------------------------------------------------------------------
-// The bulk (borrowed-slice) snapshot load path — `from_snapshot_bytes`,
-// `read_graph_snapshot_bytes`, `LocalIndex::load_bytes`, and the file
-// loaders built on them — must uphold exactly the same corruption
-// contract as the streaming readers above: every truncation, bit flip
-// and splice is a typed error, never a panic, never silent acceptance.
+// The bulk (borrowed-slice) snapshot load entry points —
+// `from_snapshot_bytes`, `read_graph_snapshot_bytes`,
+// `LocalIndex::load_bytes`, and the file loaders built on them — must
+// uphold exactly the same corruption contract as the `Read` entry points
+// above: every truncation, bit flip and splice is a typed error, never a
+// panic, never silent acceptance.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -316,10 +317,13 @@ fn bulk_load_every_bit_flip_is_typed_and_matches_stream_reader() {
             mutated[i] ^= 1 << bit;
             let bulk = LscrEngine::from_snapshot_bytes(&mutated);
             assert!(bulk.is_err(), "flip of bit {bit} in byte {i} went undetected (bulk path)");
-            // Differential: both readers must agree the snapshot is bad.
-            assert!(
-                LscrEngine::from_snapshot(&mutated[..]).is_err(),
-                "stream reader accepted what the bulk reader rejected (byte {i} bit {bit})"
+            // The `Read` entry point buffers the stream and must report
+            // the very same typed error.
+            let stream = LscrEngine::from_snapshot(&mutated[..]);
+            assert_eq!(
+                format!("{:?}", stream.err()),
+                format!("{:?}", bulk.err()),
+                "Read and bytes entry points disagree (byte {i} bit {bit})"
             );
         }
     }
