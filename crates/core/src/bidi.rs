@@ -19,10 +19,10 @@
 //!
 //! # Bidirectional phase and early negative termination
 //!
-//! Under a *selective* label constraint
-//! ([`Graph::expansion_selective`]), when `V(S,G)` is large enough
-//! ([`QueryOptions::bidi_min_candidates`](crate::QueryOptions)), the
-//! candidate loop is preceded by a meet-in-the-middle phase: a backward
+//! When `V(S,G)` is large enough
+//! ([`QueryOptions::bidi_min_candidates`](crate::QueryOptions)), whatever
+//! the selectivity of `L`, the candidate loop is preceded by a
+//! meet-in-the-middle phase: a backward
 //! frontier over the reverse label-masked expansion view
 //! ([`Graph::in_expansion`]) races the usual forward `B = F` frontier,
 //! alternating by the smaller-frontier heuristic. The query is decided
@@ -41,14 +41,15 @@
 //! * forward exhausted — `s ⇝_L v` is decided by `close ≠ N`, with the
 //!   partial backward map kept as a positive-only shortcut.
 //!
-//! Two O(1) mask prechecks run even earlier: when `s` has no usable
-//! out-label or `t` no usable in-label under `L`, no one-or-more-edge
-//! path can start or finish, and the query falls to its zero-edge case.
-//! The phase is gated on selectivity — broad-`L` queries keep the
-//! classic single-frontier path byte for byte — and on candidate count:
-//! the backward closure replaces up to `|V(S,G)|` per-candidate `v ⇝ t`
-//! probes, so for small candidate sets the classic chained probes win
-//! and the phase stays off.
+//! Two O(1) mask prechecks run even earlier ([`label_starved`], shared
+//! with UIS): when `s` has no usable out-label or `t` no usable in-label
+//! under `L`, no one-or-more-edge path can start or finish, and the
+//! query falls to its zero-edge case. The phase is gated on candidate
+//! count alone: the backward closure replaces up to `|V(S,G)|`
+//! per-candidate `v ⇝ t` probes, so for small candidate sets the classic
+//! chained probes win and the phase stays off. Selectivity
+//! ([`Graph::expansion_selective`]) only decides mask-guided expansion
+//! inside `LCS`.
 
 use crate::close::{CloseMap, CloseState};
 use crate::priority::GlobalQueue;
@@ -62,7 +63,9 @@ pub(crate) struct Search<'a> {
     pub(crate) source: VertexId,
     pub(crate) target: VertexId,
     pub(crate) labels: LabelSet,
-    /// Whether mask-guided expansion pays for this query's `L`.
+    /// Whether mask-guided expansion pays for this query's `L` inside
+    /// `LCS`; it does not choose between the classic and bidirectional
+    /// phases.
     pub(crate) selective: bool,
     pub(crate) close: &'a mut CloseMap,
     /// Backward `close`: marks `R_t`, the vertices proven to reach `t`
@@ -227,27 +230,31 @@ pub(crate) fn run<'a, K: Kernel<'a>>(
     out
 }
 
+/// The O(1) mask precheck shared by every kernel: with no out-label of
+/// `s` (or no in-label of `t`) usable under `labels`, no path with ≥ 1
+/// edge can leave `s` (or enter `t`) — only the zero-edge `s = t`
+/// witness remains, and `s ≠ t` rules it out. `true` proves the query
+/// false.
+pub(crate) fn label_starved(g: &Graph, s: VertexId, t: VertexId, labels: LabelSet) -> bool {
+    s != t
+        && (g.out_label_mask(s).intersection(labels).is_empty()
+            || g.in_label_mask(t).intersection(labels).is_empty())
+}
+
 fn decide<'a, K: Kernel<'a>>(k: &mut K, vsg: &[VertexId]) -> bool {
     if vsg.is_empty() {
         return false;
     }
     let search = k.search();
-    let (s, t, labels) = (search.source, search.target, search.labels);
-    // O(1) mask prechecks: with no out-label of s (or no in-label of t)
-    // usable under L, no path with ≥ 1 edge can leave s (or enter t) —
-    // only the zero-edge s = t witness remains, and s ≠ t rules it out.
-    if s != t
-        && (search.g.out_label_mask(s).intersection(labels).is_empty()
-            || search.g.in_label_mask(t).intersection(labels).is_empty())
-    {
+    if label_starved(search.g, search.source, search.target, search.labels) {
         search.stats.negative_terminations += 1;
         return false;
     }
-    // Selective L over a large candidate set: meet-in-the-middle phase.
-    // Small candidate sets stay on the classic chained probes — one
-    // backward closure can only beat them when it replaces many
+    // A large candidate set, whatever L's selectivity: meet-in-the-middle
+    // phase. Small candidate sets stay on the classic chained probes —
+    // one backward closure can only beat them when it replaces many
     // per-candidate `v ⇝ t` probes.
-    if search.selective && vsg.len() >= search.limits.bidi_min_candidates {
+    if vsg.len() >= search.limits.bidi_min_candidates {
         return bidirectional(k, vsg);
     }
     classic(k, vsg)

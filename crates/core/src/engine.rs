@@ -953,7 +953,7 @@ mod tests {
             g.label_set(&["hates"]),
             s0(),
         );
-        for alg in [Algorithm::UisStar, Algorithm::Ins] {
+        for alg in [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins] {
             let out = engine.answer(&q, alg).unwrap();
             assert!(!out.answer, "{alg}");
             assert!(!out.interrupted, "{alg}: a proven negative is not a truncation");

@@ -240,19 +240,20 @@ pub struct QueryOptions {
     /// `V(S,G)` processing order for UIS\*.
     pub vsg_order: VsgOrder,
     /// Minimum `|V(S,G)|` for the UIS\*/INS bidirectional phase to
-    /// engage under a selective `L`; `None` means
-    /// [`DEFAULT_BIDI_MIN_CANDIDATES`]. The backward closure replaces up
-    /// to `|V(S,G)|` per-candidate `v ⇝ t` probes, so it only pays for
-    /// itself on candidate sets at least this large — small sets answer
-    /// faster through the classic chained/informed probes.
+    /// engage, for any `L`; `None` means [`DEFAULT_BIDI_MIN_CANDIDATES`].
+    /// The backward closure replaces up to `|V(S,G)|` per-candidate
+    /// `v ⇝ t` probes, so it only pays for itself on candidate sets at
+    /// least this large — small sets answer faster through the classic
+    /// chained/informed probes.
     pub bidi_min_candidates: Option<usize>,
 }
 
 /// Default candidate-set size at which the bidirectional phase engages
-/// (see [`QueryOptions::bidi_min_candidates`]). Calibrated on the LUBM
-/// bench: S1's `|V(S,G)| ≈ 6` stays on the classic path it already
-/// answers in microseconds, S3's 576 routes through the backward
-/// closure that replaces its hundreds of per-candidate probes.
+/// (see [`QueryOptions::bidi_min_candidates`]). Calibrated on LUBM: the
+/// small criterion graph's S1 (`|V(S,G)| ≈ 6`) stays on the classic path
+/// it already answers in microseconds, while S3 there (576 candidates)
+/// and S1 at 2.35M edges (910–1819) route through the backward closure
+/// that replaces their hundreds of per-candidate probes.
 pub const DEFAULT_BIDI_MIN_CANDIDATES: usize = 64;
 
 impl QueryOptions {
@@ -287,8 +288,9 @@ impl QueryOptions {
     }
 
     /// Overrides the candidate-set size gating the bidirectional phase
-    /// (0 forces it on whenever `L` is selective — differential tests
-    /// use this to drive the meet-in-the-middle arms on small fixtures).
+    /// (0 forces it on for every query that passes the prechecks and
+    /// `usize::MAX` forces the classic candidate loop — differential
+    /// tests use both to drive either path on small fixtures).
     pub fn with_bidi_min_candidates(mut self, min: usize) -> Self {
         self.bidi_min_candidates = Some(min);
         self

@@ -53,6 +53,12 @@ pub fn answer_with(
     let s = q.source;
     let t = q.target;
     let labels = q.label_constraint;
+    // The shared O(1) mask precheck, before any SCck: Auto routes every
+    // query whose source has no out-label in L here.
+    if crate::bidi::label_starved(g, s, t, labels) {
+        stats.negative_terminations += 1;
+        return finish(false, stats, close, clock);
+    }
     // One strategy decision for the whole search: mask-guided expansion
     // only when L is selective enough to skip vertices/runs.
     let selective = g.expansion_selective(labels);

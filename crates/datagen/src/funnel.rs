@@ -14,8 +14,8 @@
 //! * `src` sprays over `fan` vertices `fan{i}` (label `spray`), each with
 //!   `leaves_per_fan` leaves `leaf{i}_{j}` connected both ways under
 //!   `chaff` — a label the canonical queries never use, so `{spray,
-//!   needle}` stays mask-selective (in both orientations) and routes the
-//!   kernels into their bidirectional phase;
+//!   needle}` stays mask-selective (in both orientations) and the
+//!   kernels' mask-guided expansion skips the leaves;
 //! * only `fan0` enters the funnel: a `depth`-long chain `gate0 → … →
 //!   gate{depth-1} → dst`, every edge labeled `needle`; the default
 //!   `depth` makes the gate chain — which is also `V(S,G)` — larger than
@@ -133,8 +133,8 @@ mod tests {
         let spray = g.label_id("spray").unwrap();
         assert!(!g.out_label_mask(src).contains(needle));
         assert!(!g.in_label_mask(dst).contains(spray));
-        // The whole point of the fixture: the canonical label set routes
-        // mask-guided kernels into their bidirectional phase.
+        // The canonical label set stays mask-selective, so the kernels'
+        // incident-label masks skip the chaff-only leaves.
         assert!(g.expansion_selective(g.label_set(&["spray", "needle"])));
     }
 

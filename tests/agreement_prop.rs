@@ -48,10 +48,14 @@ proptest! {
             expected, "UIS"
         );
         // The forced-open candidate gate runs the bidirectional phase on
-        // these small graphs, whose V(S,G) never reaches the default gate.
+        // these small graphs, whose V(S,G) never reaches the default gate;
+        // the forced-shut gate pins the classic candidate loop for any L,
+        // whatever the default gate.
         let forced_bidi = QueryOptions::default().with_bidi_min_candidates(0);
+        let forced_classic = QueryOptions::default().with_bidi_min_candidates(usize::MAX);
         let shuffled = QueryOptions::default().with_vsg_order(VsgOrder::Shuffled(seed));
-        for (name, opts) in [("default", &opts), ("forced bidi", &forced_bidi), ("shuffled", &shuffled)] {
+        let sweeps = [("default", &opts), ("forced bidi", &forced_bidi), ("forced classic", &forced_classic)];
+        for (name, opts) in sweeps.into_iter().chain([("shuffled", &shuffled)]) {
             prop_assert_eq!(
                 kgreach::uis_star::answer_with(&g, &cq, &mut scratch, opts).answer,
                 expected, "UIS* {}", name
@@ -59,7 +63,7 @@ proptest! {
         }
         for k in [1usize, 4, 16] {
             let idx = LocalIndex::build(&g, &LocalIndexConfig { num_landmarks: Some(k), seed, ..Default::default() });
-            for (name, opts) in [("default", &opts), ("forced bidi", &forced_bidi)] {
+            for (name, opts) in sweeps {
                 prop_assert_eq!(
                     kgreach::ins::answer_with(&g, &cq, &idx, &mut scratch, opts).answer,
                     expected,

@@ -172,3 +172,43 @@ fn passed_vertex_metric_ordering() {
         "INS passed {ins_total} vs UIS {uis_total}: pruning regressed badly"
     );
 }
+
+/// UIS runs the shared O(1) mask precheck before any `SCck`: a narrow-`L`
+/// S3 query whose source has no out-label in `L` — exactly the queries
+/// Auto routes to UIS — is proven false with zero `SCck` calls, while
+/// `s = t` still decides by `SCck(s)`.
+#[test]
+fn uis_label_starved_source_skips_scck() {
+    let engine = LscrEngine::new(small_lubm(23));
+    let g = engine.graph();
+    let narrow = kgreach_datagen::top_label_set(&g, 3);
+    let starved =
+        g.vertices().find(|&v| g.out_label_mask(v).intersection(narrow).is_empty()).unwrap();
+    let target = g
+        .vertices()
+        .find(|&v| v != starved && !g.in_label_mask(v).intersection(narrow).is_empty())
+        .unwrap();
+    let q = LscrQuery::new(starved, target, narrow, s3());
+    let mut session = engine.session();
+    for alg in [Algorithm::Uis, Algorithm::Auto] {
+        let out = session.answer(&q, alg).unwrap();
+        assert_eq!(out.stats.algorithm, Some(Algorithm::Uis), "{alg}");
+        assert!(!out.answer && !out.interrupted, "{alg}");
+        assert_eq!(out.stats.scck_calls, 0, "{alg}: precheck must precede SCck(s)");
+        assert_eq!(out.stats.negative_terminations, 1, "{alg}");
+        assert_eq!(out.stats.edges_scanned, 0, "{alg}");
+    }
+
+    // s = t under an empty L (which starves every endpoint): the zero-edge
+    // path is decided by SCck(s), never by the precheck.
+    let vsg = engine.compile(&q).unwrap().constraint.satisfying_vertices_cached(&g);
+    let sat = vsg[0];
+    let unsat = g.vertices().find(|v| !vsg.contains(v)).unwrap();
+    for (v, want) in [(sat, true), (unsat, false)] {
+        let q = LscrQuery::new(v, v, kgreach_graph::LabelSet::EMPTY, s3());
+        let out = session.answer(&q, Algorithm::Uis).unwrap();
+        assert_eq!(out.answer, want, "s = t = {v}");
+        assert_eq!(out.stats.scck_calls, 1, "s = t = {v}");
+        assert_eq!(out.stats.negative_terminations, 0, "s = t = {v}");
+    }
+}

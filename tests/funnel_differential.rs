@@ -30,10 +30,12 @@ fn engine_for(mirrored: bool, cfg: &FunnelConfig) -> LscrEngine {
 }
 
 /// Every `(s, t)` pair × label set × algorithm agrees with the oracle,
-/// on the forward and the mirrored fixture — once under default options
-/// (small fixture, classic paths) and once with the bidirectional
-/// candidate gate forced open, so the meet-in-the-middle race, its
-/// cleanup loops and the prune arms are all swept differentially.
+/// on the forward and the mirrored fixture — under default options, with
+/// the bidirectional candidate gate forced open (so the meet-in-the-middle
+/// race, its cleanup loops and the prune arms are all swept
+/// differentially) and with it forced shut (so the classic candidate
+/// loop is swept for every `L`, broad or selective, whatever the default
+/// gate).
 #[test]
 fn all_algorithms_agree_with_oracle_on_both_orientations() {
     // Small enough that the full |V|² sweep against the oracle is cheap,
@@ -42,6 +44,7 @@ fn all_algorithms_agree_with_oracle_on_both_orientations() {
     let c = gate_constraint();
     let defaults = QueryOptions::default();
     let forced_bidi = QueryOptions::default().with_bidi_min_candidates(0);
+    let forced_classic = QueryOptions::default().with_bidi_min_candidates(usize::MAX);
     for mirrored in [false, true] {
         let engine = engine_for(mirrored, &cfg);
         let g = engine.graph();
@@ -49,8 +52,8 @@ fn all_algorithms_agree_with_oracle_on_both_orientations() {
             g.label_set(&["spray", "needle"]),
             g.label_set(&["spray"]),
             g.label_set(&["needle"]),
-            // Broad L is never mask-selective: pins the classic arms
-            // even when the gate below is forced open.
+            // Broad L is not mask-selective: LCS expands without the
+            // incident-label mask skips.
             g.all_labels(),
         ];
         for s in 0..g.num_vertices() as u32 {
@@ -60,14 +63,13 @@ fn all_algorithms_agree_with_oracle_on_both_orientations() {
                     let want = engine.answer(&q, Algorithm::Oracle).unwrap().answer;
                     for alg in [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Auto]
                     {
-                        for opts in [&defaults, &forced_bidi] {
+                        for opts in [&defaults, &forced_bidi, &forced_classic] {
                             let out = engine.answer_with_options(&q, alg, opts).unwrap();
                             assert_eq!(
-                                out.answer,
-                                want,
-                                "mirrored={mirrored} {alg:?} (forced_bidi={}) disagrees \
-                                 with oracle on ({s}, {t}, {labels:?})",
-                                opts.bidi_min_candidates.is_some(),
+                                out.answer, want,
+                                "mirrored={mirrored} {alg:?} (bidi_min_candidates={:?}) \
+                                 disagrees with oracle on ({s}, {t}, {labels:?})",
+                                opts.bidi_min_candidates,
                             );
                             assert!(!out.interrupted, "unbudgeted search got interrupted");
                         }
@@ -80,7 +82,9 @@ fn all_algorithms_agree_with_oracle_on_both_orientations() {
 
 /// The canonical true query actually runs the meet-in-the-middle race
 /// *under default options* — the default fixture's gate chain exceeds
-/// the candidate-count gate — and the backward frontier scans edges.
+/// the candidate-count gate — and the backward frontier scans edges,
+/// under the selective `{spray, needle}` and the broad all-labels `L`
+/// alike: the candidate count alone routes a query into the phase.
 #[test]
 fn true_query_exercises_the_backward_frontier() {
     let cfg = FunnelConfig::default();
@@ -88,21 +92,25 @@ fn true_query_exercises_the_backward_frontier() {
     for mirrored in [false, true] {
         let engine = engine_for(mirrored, &cfg);
         let g = engine.graph();
-        let q = LscrQuery::new(
-            g.vertex_id("src").unwrap(),
-            g.vertex_id("dst").unwrap(),
-            g.label_set(&["spray", "needle"]),
-            c.clone(),
-        );
-        for alg in [Algorithm::UisStar, Algorithm::Ins] {
-            let out = engine.answer(&q, alg).unwrap();
-            assert!(out.answer, "mirrored={mirrored} {alg:?}: src ⇝ dst must hold");
-            assert!(
-                out.stats.backward_edges_scanned > 0,
-                "mirrored={mirrored} {alg:?}: bidirectional phase never ran \
-                 (stats: {:?})",
-                out.stats
+        let broad = g.all_labels();
+        assert!(!g.expansion_selective(broad), "all labels must be a broad L");
+        for labels in [g.label_set(&["spray", "needle"]), broad] {
+            let q = LscrQuery::new(
+                g.vertex_id("src").unwrap(),
+                g.vertex_id("dst").unwrap(),
+                labels,
+                c.clone(),
             );
+            for alg in [Algorithm::UisStar, Algorithm::Ins] {
+                let out = engine.answer(&q, alg).unwrap();
+                assert!(out.answer, "mirrored={mirrored} {alg:?} {labels:?}: src ⇝ dst must hold");
+                assert!(
+                    out.stats.backward_edges_scanned > 0,
+                    "mirrored={mirrored} {alg:?} {labels:?}: bidirectional phase never ran \
+                     (stats: {:?})",
+                    out.stats
+                );
+            }
         }
     }
 }

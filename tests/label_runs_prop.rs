@@ -110,9 +110,14 @@ proptest! {
         let out = kgreach::uis::answer_with(&g, &cq, &mut scratch, &QueryOptions::default());
         // Every vertex carries an rdf:type out-edge the constraint
         // excludes, so as soon as one vertex is *expanded* at least one
-        // edge is skipped; only the zero-expansion shortcut (s = t with a
-        // satisfying s) reports none.
-        if !(s == t && out.answer) {
+        // edge is skipped; only the two zero-expansion shortcuts report
+        // none: s = t with a satisfying s, and the mask precheck (s has
+        // no l0 out-edge or t no l0 in-edge), which must then prove the
+        // query false before any SCck or scan.
+        if out.stats.negative_terminations > 0 {
+            prop_assert!(!out.answer && s != t, "precheck fired wrongly: {:?}", out.stats);
+            prop_assert_eq!(out.stats.scck_calls + out.stats.edges_scanned, 0);
+        } else if !(s == t && out.answer) {
             prop_assert!(out.stats.edges_skipped > 0, "no edges skipped: {:?}", out.stats);
         }
         // Sanity: UIS with the cached SCck path still matches the oracle.

@@ -71,9 +71,8 @@ fn assert_engines_agree(
         },
         {
             // One narrow label: |L| ≪ alphabet is always mask-selective,
-            // so UIS*/INS route through the bidirectional phase and the
-            // overlay's *reverse* expansion view (`in_expansion`) gets
-            // differentially tested against the rebuilt CSR too.
+            // so the overlay's incident-label masks get to skip whole
+            // vertices in both expansion directions.
             let mut one = LabelSet::EMPTY;
             if let Some(l) = rg.label_id("l0") {
                 one.insert(l);
@@ -82,9 +81,12 @@ fn assert_engines_agree(
         },
     ];
     // These fixtures are far smaller than the production candidate-count
-    // gate: force the bidirectional phase open so every selective label
-    // set above actually drives the backward frontier over the overlay.
-    let opts = kgreach::QueryOptions::default().with_bidi_min_candidates(0);
+    // gate: force it open so every label set above drives the backward
+    // frontier over the overlay's *reverse* expansion view
+    // (`in_expansion`), and shut so the classic candidate loop runs over
+    // the overlay too.
+    let forced_bidi = kgreach::QueryOptions::default().with_bidi_min_candidates(0);
+    let forced_classic = kgreach::QueryOptions::default().with_bidi_min_candidates(usize::MAX);
     for s in rg.vertices() {
         for t in rg.vertices() {
             for &labels in &label_sets {
@@ -93,18 +95,28 @@ fn assert_engines_agree(
                     panic!("{context}: rebuilt vertex missing in live graph");
                 };
                 let expected = rebuilt.answer(&rq, Algorithm::Oracle).unwrap().answer;
-                for alg in [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Auto] {
-                    let live_ans = live.answer_with_options(&lq, alg, &opts).unwrap().answer;
-                    let rebuilt_ans = rebuilt.answer_with_options(&rq, alg, &opts).unwrap().answer;
+                let runs = [
+                    (Algorithm::Uis, &forced_bidi),
+                    (Algorithm::UisStar, &forced_bidi),
+                    (Algorithm::UisStar, &forced_classic),
+                    (Algorithm::Ins, &forced_bidi),
+                    (Algorithm::Ins, &forced_classic),
+                    (Algorithm::Auto, &forced_bidi),
+                    (Algorithm::Auto, &forced_classic),
+                ];
+                for (alg, opts) in runs {
+                    let live_ans = live.answer_with_options(&lq, alg, opts).unwrap().answer;
+                    let rebuilt_ans = rebuilt.answer_with_options(&rq, alg, opts).unwrap().answer;
+                    let gate = opts.bidi_min_candidates;
                     prop_assert_eq_plain(
                         live_ans,
                         expected,
-                        &format!("{context}: live {alg} vs oracle on {s}->{t}"),
+                        &format!("{context}: live {alg} (gate {gate:?}) vs oracle on {s}->{t}"),
                     );
                     prop_assert_eq_plain(
                         rebuilt_ans,
                         expected,
-                        &format!("{context}: rebuilt {alg} vs oracle on {s}->{t}"),
+                        &format!("{context}: rebuilt {alg} (gate {gate:?}) vs oracle on {s}->{t}"),
                     );
                 }
             }
