@@ -48,8 +48,8 @@
 //! count alone: the backward closure replaces up to `|V(S,G)|`
 //! per-candidate `v ⇝ t` probes, so for small candidate sets the classic
 //! chained probes win and the phase stays off. Selectivity
-//! ([`Graph::expansion_selective`]) only decides mask-guided expansion
-//! inside `LCS`.
+//! ([`Graph::expansion_selective`]) decides mask-guided expansion in
+//! every forward and backward step.
 
 use crate::close::{CloseMap, CloseState};
 use crate::priority::GlobalQueue;
@@ -63,9 +63,7 @@ pub(crate) struct Search<'a> {
     pub(crate) source: VertexId,
     pub(crate) target: VertexId,
     pub(crate) labels: LabelSet,
-    /// Whether mask-guided expansion pays for this query's `L` inside
-    /// `LCS`; it does not choose between the classic and bidirectional
-    /// phases.
+    /// Whether mask-guided expansion pays for this query's `L`.
     pub(crate) selective: bool,
     pub(crate) close: &'a mut CloseMap,
     /// Backward `close`: marks `R_t`, the vertices proven to reach `t`
@@ -156,7 +154,7 @@ impl<'a> Search<'a> {
     /// candidate.
     fn backward_step(&mut self) -> bool {
         let x = self.back_stack.pop().expect("backward frontier non-empty");
-        let exp = self.g.in_expansion(x, self.labels, true);
+        let exp = self.g.in_expansion(x, self.labels, self.selective);
         self.stats.edges_skipped += exp.degree;
         for e in exp.edges {
             if !self.labels.contains(e.label) {

@@ -118,7 +118,7 @@ impl<'a> Kernel<'a> for Ins<'a> {
         let ctx =
             PriorityContext { close: &*self.st.close, index: self.index, source: s, target: t };
         let Some(u) = self.queue.pop(&ctx) else { return false };
-        let exp = self.st.g.out_expansion(u, self.st.labels, true);
+        let exp = self.st.g.out_expansion(u, self.st.labels, self.st.selective);
         self.st.stats.edges_skipped += exp.degree;
         for e in exp.edges {
             if !self.st.labels.contains(e.label) {

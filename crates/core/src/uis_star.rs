@@ -120,7 +120,7 @@ impl<'a> Kernel<'a> for UisStar<'a> {
     fn forward_step(&mut self) -> bool {
         let Some(u) = self.stack.pop() else { return false };
         let st = &mut self.st;
-        let exp = st.g.out_expansion(u, st.labels, true);
+        let exp = st.g.out_expansion(u, st.labels, st.selective);
         st.stats.edges_skipped += exp.degree;
         for e in exp.edges {
             if !st.labels.contains(e.label) {

@@ -49,8 +49,7 @@ proptest! {
         );
         // The forced-open candidate gate runs the bidirectional phase on
         // these small graphs, whose V(S,G) never reaches the default gate;
-        // the forced-shut gate pins the classic candidate loop for any L,
-        // whatever the default gate.
+        // the forced-shut gate pins the classic candidate loop.
         let forced_bidi = QueryOptions::default().with_bidi_min_candidates(0);
         let forced_classic = QueryOptions::default().with_bidi_min_candidates(usize::MAX);
         let shuffled = QueryOptions::default().with_vsg_order(VsgOrder::Shuffled(seed));

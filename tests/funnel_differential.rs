@@ -34,8 +34,7 @@ fn engine_for(mirrored: bool, cfg: &FunnelConfig) -> LscrEngine {
 /// the bidirectional candidate gate forced open (so the meet-in-the-middle
 /// race, its cleanup loops and the prune arms are all swept
 /// differentially) and with it forced shut (so the classic candidate
-/// loop is swept for every `L`, broad or selective, whatever the default
-/// gate).
+/// loop is swept too).
 #[test]
 fn all_algorithms_agree_with_oracle_on_both_orientations() {
     // Small enough that the full |V|² sweep against the oracle is cheap,
@@ -52,7 +51,7 @@ fn all_algorithms_agree_with_oracle_on_both_orientations() {
             g.label_set(&["spray", "needle"]),
             g.label_set(&["spray"]),
             g.label_set(&["needle"]),
-            // Broad L is not mask-selective: LCS expands without the
+            // Broad L is not mask-selective: expansion runs without the
             // incident-label mask skips.
             g.all_labels(),
         ];
@@ -84,7 +83,7 @@ fn all_algorithms_agree_with_oracle_on_both_orientations() {
 /// *under default options* — the default fixture's gate chain exceeds
 /// the candidate-count gate — and the backward frontier scans edges,
 /// under the selective `{spray, needle}` and the broad all-labels `L`
-/// alike: the candidate count alone routes a query into the phase.
+/// alike.
 #[test]
 fn true_query_exercises_the_backward_frontier() {
     let cfg = FunnelConfig::default();
